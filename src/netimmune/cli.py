@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,19 +21,13 @@ from .epidemic import (
     simulate_sis,
     threshold_lambda,
 )
-from .graph import (
-    BudgetSpec,
-    Graph,
-    GraphFormatError,
-    Strategy,
-    ieee118_graph,
-    load_graph_path,
-)
+from .graph import GraphFormatError, Strategy
 from .harness import (
     ExperimentConfig,
     default_seeds,
     load_config,
     rate_seed_for,
+    resolve_graph,
     run_compare,
     write_outputs,
 )
@@ -53,12 +47,6 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
                    help="remap non-contiguous integer ids to 0..n-1")
 
 
-def _load_graph(args) -> Graph:
-    if args.graph == "ieee118":
-        return ieee118_graph()
-    return load_graph_path(args.graph, args.fmt, relabel=args.relabel)
-
-
 def _add_rate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta-range", nargs=2, type=float, default=[0.1, 0.4],
                    metavar=("LO", "HI"), help="uniform range for infection rates")
@@ -68,7 +56,7 @@ def _add_rate_args(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_rank(args) -> int:
-    g = _load_graph(args)
+    g = resolve_graph(args.graph, args.fmt, args.relabel)
     rates = protocol = None
     if Strategy(args.strategy) is Strategy.MOST_INFECTED:
         rates = build_rates(g, args.beta_range, args.delta_range, rate_seed_for(args.seed))
@@ -94,42 +82,13 @@ def cmd_rank(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = ExperimentConfig(graph=args.graph, budget=BudgetSpec.parse("16%"))
-    overrides = {}
-    if args.graph is not None:
-        overrides["graph"] = args.graph
-    if args.fmt is not None:
-        overrides["graph_format"] = args.fmt
-    if args.relabel:
-        overrides["relabel"] = True
-    if args.budget is not None:
-        overrides["budget"] = BudgetSpec.parse(args.budget)
-    if args.strategies is not None:
-        overrides["strategies"] = tuple(Strategy(s) for s in args.strategies)
-    if args.beta_range is not None:
-        overrides["beta_range"] = tuple(args.beta_range)
-    if args.delta_range is not None:
-        overrides["delta_range"] = tuple(args.delta_range)
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.power is not None:
-        overrides["power"] = args.power
-    if args.seeds is not None:
-        overrides["seeds"] = tuple(args.seeds)
-    if args.output_csv is not None:
-        overrides["output_csv"] = args.output_csv
-    if args.output_json is not None:
-        overrides["output_json"] = args.output_json
-    config = replace(config, **overrides)
-    if config.graph is None:
+    if args.graph is None and args.config is None:
         raise ValueError("no graph given (use --graph or a config file)")
+    obj = load_config(args.config).to_json_obj() if args.config else {"budget": "16%"}
+    for f in fields(ExperimentConfig):
+        if getattr(args, f.name, None) is not None:
+            obj[f.name] = getattr(args, f.name)
+    config = ExperimentConfig.from_json_obj(obj)
 
     table = run_compare(config)
     print(f"n = {table.n}, budget k = {table.budget_k}, "
@@ -144,7 +103,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    g = _load_graph(args)
+    g = resolve_graph(args.graph, args.fmt, args.relabel)
     rates = build_rates(g, args.beta_range, args.delta_range, rate_seed_for(args.seed))
     lam_m, spreads = threshold_lambda(modified_matrix(g, rates))
     lam_1 = spectrum(g).lambda_1
@@ -155,7 +114,7 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    g = _load_graph(args)
+    g = resolve_graph(args.graph, args.fmt, args.relabel)
     rates = build_rates(g, args.beta_range, args.delta_range, rate_seed_for(args.seed))
     seeds = tuple(args.seeds) if args.seeds else default_seeds(g, args.seed)
     immunized = tuple(args.immunized or ())
@@ -180,7 +139,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = _load_graph(args)
+    g = resolve_graph(args.graph, args.fmt, args.relabel)
     report = gap_report(g, args.k, power=args.power)
     print(f"separation floor lambda_{args.k + 1} = {report.floor_raw:.6f} "
           f"(clamped {report.floor_clamped:.6f})")
@@ -216,19 +175,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.set_defaults(func=cmd_rank)
 
+    # Each flag below --config stores to the ExperimentConfig field of the
+    # same name and overrides the config file's value when given.
     p = sub.add_parser("compare", help="run the full immunization comparison protocol")
     p.add_argument("--config", default=None, help="JSON experiment config")
     p.add_argument("--graph", default=None,
                    help='graph file path or "ieee118" (overrides config)')
-    p.add_argument("--fmt", choices=["edgelist", "json"], default=None)
-    p.add_argument("--relabel", action="store_true")
+    p.add_argument("--fmt", choices=["edgelist", "json"], default=None, dest="graph_format")
+    p.add_argument("--relabel", action="store_true", default=None)
     p.add_argument("--budget", default=None, help='nodes to immunize: "19", "16%%" or "0.16"')
     p.add_argument("--strategies", nargs="+", choices=_STRATEGY_NAMES, default=None)
     p.add_argument("--beta-range", nargs=2, type=float, default=None, metavar=("LO", "HI"))
     p.add_argument("--delta-range", nargs=2, type=float, default=None, metavar=("LO", "HI"))
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="master RNG seed")
+    p.add_argument("--seed", type=int, default=None, dest="master_seed",
+                   help="master RNG seed")
     p.add_argument("--power", type=int, default=None)
     p.add_argument("--seeds", nargs="+", type=int, default=None,
                    help="initial infected nodes (excluded from immunization)")
@@ -245,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     _add_rate_args(p)
     p.add_argument("--seeds", nargs="+", type=int, default=None,
-                   help="initial infected nodes (default: max-degree node)")
+                   help="initial infected nodes (default: about 5%% of the nodes, "
+                        "drawn from --seed)")
     p.add_argument("--immunized", nargs="+", type=int, default=None)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--trials", type=int, default=100)
@@ -266,7 +229,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, GraphFormatError, FileNotFoundError) as e:
+    except (ValueError, GraphFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

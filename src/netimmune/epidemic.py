@@ -8,7 +8,7 @@ matching the coupling m_ij = beta_ij of the infection-probability recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,14 +112,21 @@ def _validate_rates(g: Graph, r: RateModel) -> None:
         raise ValueError("delta rates must lie in [0, 1]")
 
 
+def _rate_arrays(g: Graph, r: RateModel) -> tuple[np.ndarray, np.ndarray]:
+    """Check ``r`` against ``g``; return the dense beta matrix (0 off the edges) and delta."""
+    _validate_rates(g, r)
+    beta = np.zeros((g.n, g.n))
+    if r.beta:
+        rows, cols = zip(*r.beta)
+        beta[rows, cols] = list(r.beta.values())
+    delta = np.array([r.delta[i] for i in range(g.n)])
+    return beta, delta
+
+
 def modified_matrix(g: Graph, r: RateModel) -> ModifiedMatrix:
     """m_ij = beta_ij on edges, 0 elsewhere off-diagonal, 1 - delta_i on the diagonal."""
-    _validate_rates(g, r)
-    m = np.zeros((g.n, g.n))
-    for (i, j), v in r.beta.items():
-        m[i, j] = v
-    for i, v in r.delta.items():
-        m[i, i] = 1.0 - v
+    m, delta = _rate_arrays(g, r)
+    np.fill_diagonal(m, 1.0 - delta)
     return ModifiedMatrix(matrix=m)
 
 
@@ -219,18 +226,19 @@ def _trial_seed_sequence(master_seed: int, trial: int,
     return np.random.SeedSequence(entropy=master_seed, spawn_key=stream + (trial,))
 
 
-def _log_survival_matrix(g: Graph, r: RateModel) -> np.ndarray:
+def _log_survival(beta: np.ndarray) -> np.ndarray:
     """L[v, k] = log(1 - beta_vk); matmul with an infection indicator gives
     log of the per-node escape probability. Certain infection (beta = 1)
     maps to a large negative finite value so the sum still underflows to
     exactly 0 under exp."""
-    b = np.zeros((g.n, g.n))
-    for (i, j), v in r.beta.items():
-        b[i, j] = v
     with np.errstate(divide="ignore"):
-        log_s = np.log1p(-b)
+        log_s = np.log1p(-beta)
     log_s[np.isneginf(log_s)] = -800.0
     return log_s
+
+
+def _log_survival_matrix(g: Graph, r: RateModel) -> np.ndarray:
+    return _log_survival(_rate_arrays(g, r)[0])
 
 
 def _sis_trial(log_s: np.ndarray, delta: np.ndarray, seed_mask: np.ndarray,
@@ -279,6 +287,30 @@ def _masks(n: int, seeds: Iterable[int], immunized: Iterable[int]) -> tuple[np.n
     return seed_mask, immune_mask
 
 
+def _run_trials(g: Graph, r: RateModel, seeds: Iterable[int] | None,
+                immunized: Iterable[int], steps: int, trials: int, master_seed: int,
+                stream: tuple[int, ...] = ()) -> Iterator[tuple]:
+    """Yield (trial seed sequence, ``_sis_trial`` result) for each trial in order.
+
+    Trial t draws from a generator seeded by (master_seed, stream, t).
+    ``seeds=None`` rotates a single seed: trial t starts at node t mod n.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    beta, delta = _rate_arrays(g, r)
+    log_s = _log_survival(beta)
+    seed_mask, immune_mask = _masks(g.n, () if seeds is None else seeds, immunized)
+    for trial in range(trials):
+        if seeds is None:
+            seed_mask = np.zeros(g.n, dtype=bool)
+            seed_mask[trial % g.n] = True
+        ss = _trial_seed_sequence(master_seed, trial, stream)
+        rng = np.random.default_rng(ss)
+        yield ss, _sis_trial(log_s, delta, seed_mask, immune_mask, steps, rng)
+
+
 def simulate_sis(g: Graph, r: RateModel, seeds: Iterable[int], immunized: Iterable[int],
                  steps: int, trials: int, master_seed: int) -> list[SimulationOutcome]:
     """Monte-Carlo SIS with immunized nodes removed from transmission entirely.
@@ -288,16 +320,8 @@ def simulate_sis(g: Graph, r: RateModel, seeds: Iterable[int], immunized: Iterab
     or concurrently, and two simulations sharing a master seed are paired
     trial by trial (common random numbers).
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _validate_rates(g, r)
     seeds = sorted(set(seeds))
     immunized = sorted(set(immunized))
-    seed_mask, immune_mask = _masks(g.n, seeds, immunized)
-    log_s = _log_survival_matrix(g, r)
-    delta = np.array([r.delta[i] for i in range(g.n)])
     params = {
         "steps": steps,
         "trials": trials,
@@ -305,19 +329,17 @@ def simulate_sis(g: Graph, r: RateModel, seeds: Iterable[int], immunized: Iterab
         "immunized": immunized,
         "master_seed": master_seed,
     }
-    outcomes = []
-    for trial in range(trials):
-        ss = _trial_seed_sequence(master_seed, trial)
-        rng = np.random.default_rng(ss)
-        counts, final_mask, _ = _sis_trial(log_s, delta, seed_mask, immune_mask, steps, rng)
-        outcomes.append(SimulationOutcome(
+    return [
+        SimulationOutcome(
             infected_counts=tuple(int(c) for c in counts),
             final_infected=tuple(int(i) for i in np.nonzero(final_mask)[0]),
             trial_index=trial,
             trial_seed=int(ss.generate_state(1)[0]),
             params=params,
-        ))
-    return outcomes
+        )
+        for trial, (ss, (counts, final_mask, _)) in enumerate(
+            _run_trials(g, r, seeds, immunized, steps, trials, master_seed))
+    ]
 
 
 def most_infected_ranking(g: Graph, r: RateModel,
@@ -327,25 +349,9 @@ def most_infected_ranking(g: Graph, r: RateModel,
     Uses a dedicated RNG stream so the calibration never shares draws with
     the comparison trials of the same master seed.
     """
-    _validate_rates(g, r)
-    log_s = _log_survival_matrix(g, r)
-    delta = np.array([r.delta[i] for i in range(g.n)])
-    immune_mask = np.zeros(g.n, dtype=bool)
-    fixed_mask = None
-    if protocol.seeds is not None:
-        fixed_mask, _ = _masks(g.n, protocol.seeds, ())
-    totals = np.zeros(g.n, dtype=int)
-    for trial in range(protocol.trials):
-        if fixed_mask is not None:
-            seed_mask = fixed_mask
-        else:
-            seed_mask = np.zeros(g.n, dtype=bool)
-            seed_mask[trial % g.n] = True
-        ss = _trial_seed_sequence(protocol.master_seed, trial, stream=(_CALIBRATION_STREAM,))
-        rng = np.random.default_rng(ss)
-        _, _, node_steps = _sis_trial(log_s, delta, seed_mask, immune_mask,
-                                      protocol.steps, rng)
-        totals += node_steps
+    runs = _run_trials(g, r, protocol.seeds, (), protocol.steps, protocol.trials,
+                       protocol.master_seed, stream=(_CALIBRATION_STREAM,))
+    totals = sum(node_steps for _, (_, _, node_steps) in runs)
     return Ranking.from_scores(Strategy.MOST_INFECTED, totals)
 
 
@@ -357,16 +363,13 @@ def scale_rates_to_threshold(g: Graph, r: RateModel, target: float,
     converges; deltas are untouched. Raises if the target is unreachable
     with every beta kept within [0, 1].
     """
-    _validate_rates(g, r)
+    beta, delta = _rate_arrays(g, r)
     if not r.beta:
         raise ValueError("graph has no edges; lambda_M cannot be scaled via beta")
-    delta_diag = np.array([1.0 - r.delta[i] for i in range(g.n)])
 
     def lam(scale: float) -> float:
-        m = np.zeros((g.n, g.n))
-        for (i, j), v in r.beta.items():
-            m[i, j] = v * scale
-        np.fill_diagonal(m, delta_diag)
+        m = beta * scale
+        np.fill_diagonal(m, 1.0 - delta)
         return float(np.max(np.abs(np.linalg.eigvals(m))))
 
     if lam(0.0) > target:

@@ -47,6 +47,11 @@ DEFAULT_COMPARISON_STRATEGIES: tuple[Strategy, ...] = (
 )
 
 
+def _is_int(x) -> bool:
+    # bool subclasses int, but true/false are not node ids or counts.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Graph:
     """Immutable undirected simple graph on contiguous node ids 0..n-1.
 
@@ -58,11 +63,11 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: Sequence[str] | None = None):
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise GraphFormatError(f"node count must be a positive integer, got {n!r}")
         canon = set()
         for u, v in edges:
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (_is_int(u) and _is_int(v)):
                 raise GraphFormatError(f"edge ({u!r}, {v!r}): node ids must be integers")
             if u == v:
                 raise GraphFormatError(f"self-loop at node {u}")

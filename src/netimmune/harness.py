@@ -26,12 +26,44 @@ from .graph import (
     ieee118_graph,
     load_graph_path,
 )
+from .spectral import DEFAULT_POWER
 from .strategies import compute_ranking
 
 # Spawn-key prefixes for drawing the rate model / default seed set out of
 # the master seed without touching the trial streams.
 _RATE_STREAM = 7919
 _SEED_STREAM = 5077
+
+
+def _budget_spec(value) -> BudgetSpec:
+    """A budget as text ("19", "16%", "0.16") or as {"count": k} or {"fraction": f}."""
+    if isinstance(value, str):
+        return BudgetSpec.parse(value)
+    if isinstance(value, dict) and value.get("count") is not None:
+        return BudgetSpec.from_count(int(value["count"]))
+    if isinstance(value, dict) and value.get("fraction") is not None:
+        return BudgetSpec.from_fraction(float(value["fraction"]))
+    raise ValueError('budget must be text or an object with "count" or "fraction"')
+
+
+# ExperimentConfig field -> converter from its JSON value.
+_FIELDS = {
+    "graph": str,
+    "budget": _budget_spec,
+    "seeds": tuple,
+    "graph_format": str,
+    "relabel": bool,
+    "strategies": lambda names: tuple(Strategy(s) for s in names),
+    "beta_range": tuple,
+    "delta_range": tuple,
+    "steps": int,
+    "trials": int,
+    "master_seed": int,
+    "power": int,
+    "calibration_trials": int,
+    "output_csv": str,
+    "output_json": str,
+}
 
 
 @dataclass(frozen=True)
@@ -49,7 +81,7 @@ class ExperimentConfig:
     steps: int = 200
     trials: int = 200
     master_seed: int = 42
-    power: int = 16
+    power: int = DEFAULT_POWER
     calibration_trials: int = 100
     output_csv: str | None = None
     output_json: str | None = None
@@ -77,31 +109,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
-        budget = obj["budget"]
-        if isinstance(budget, str):
-            spec = BudgetSpec.parse(budget)
-        elif "count" in budget and budget["count"] is not None:
-            spec = BudgetSpec.from_count(int(budget["count"]))
-        else:
-            spec = BudgetSpec.from_fraction(float(budget["fraction"]))
-        kwargs = {
-            "graph": obj["graph"],
-            "budget": spec,
-            "seeds": tuple(obj["seeds"]) if obj.get("seeds") is not None else None,
-            "graph_format": obj.get("graph_format"),
-            "relabel": bool(obj.get("relabel", False)),
-            "beta_range": tuple(obj.get("beta_range", (0.1, 0.4))),
-            "delta_range": tuple(obj.get("delta_range", (0.2, 0.5))),
-            "steps": int(obj.get("steps", 200)),
-            "trials": int(obj.get("trials", 200)),
-            "master_seed": int(obj.get("master_seed", 42)),
-            "power": int(obj.get("power", 16)),
-            "calibration_trials": int(obj.get("calibration_trials", 100)),
-            "output_csv": obj.get("output_csv"),
-            "output_json": obj.get("output_json"),
-        }
-        if obj.get("strategies") is not None:
-            kwargs["strategies"] = tuple(Strategy(s) for s in obj["strategies"])
+        """Build a config from its JSON form; absent or null optional keys take the defaults."""
+        if not isinstance(obj, dict):
+            raise ValueError("experiment config must be a JSON object")
+        for key in ("graph", "budget"):
+            if obj.get(key) is None:
+                raise ValueError(f"experiment config is missing the required key {key!r}")
+        kwargs = {}
+        for name, convert in _FIELDS.items():
+            if obj.get(name) is not None:
+                try:
+                    kwargs[name] = convert(obj[name])
+                except TypeError:
+                    raise ValueError(f"experiment config key {name!r} has the wrong type: "
+                                     f"{obj[name]!r}") from None
         return cls(**kwargs)
 
     def config_sha256(self) -> str:
@@ -117,10 +138,11 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_json_obj(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def resolve_graph(config: ExperimentConfig) -> Graph:
-    if config.graph == "ieee118":
+def resolve_graph(graph: str, fmt: str | None = None, relabel: bool = False) -> Graph:
+    """Load ``graph``: a file path, or "ieee118" for the bundled IEEE 118-bus case."""
+    if graph == "ieee118":
         return ieee118_graph()
-    return load_graph_path(config.graph, config.graph_format, relabel=config.relabel)
+    return load_graph_path(graph, fmt, relabel=relabel)
 
 
 def default_seeds(g: Graph, master_seed: int, count: int | None = None) -> tuple[int, ...]:
@@ -188,7 +210,7 @@ def rate_seed_for(master_seed: int) -> int:
 
 def run_compare(config: ExperimentConfig) -> ComparisonTable:
     """Execute the full comparison protocol for every configured strategy."""
-    g = resolve_graph(config)
+    g = resolve_graph(config.graph, config.graph_format, config.relabel)
     k = config.budget.resolve(g.n)
     if k >= g.n:
         raise ValueError(f"budget {k} must be smaller than the node count {g.n}")

@@ -13,6 +13,26 @@ from .spectral import (
 )
 
 
+def _most_infected(g: Graph, *, rates, protocol, **_) -> Ranking:
+    if rates is None or protocol is None:
+        raise ValueError("most-infected ranking needs a rate model and a protocol")
+    return most_infected_ranking(g, rates, protocol)
+
+
+# Each entry looks its ranker up by module-global name at call time, so a
+# module attribute replaced later (a timing wrapper, say) is the one called.
+_RANKERS = {
+    Strategy.AV11: lambda g, **kw: av11_ranking(g, power=kw["power"]),
+    Strategy.DEGREE: lambda g, **_: degree_ranking(g),
+    Strategy.CLOSENESS: lambda g, **_: closeness_ranking(g),
+    Strategy.BETWEENNESS: lambda g, **_: betweenness_ranking(g),
+    Strategy.DYNAMICAL_IMPORTANCE: lambda g, **_: dynamical_importance_ranking(g),
+    Strategy.ESTRADA_INDEX: lambda g, **_: estrada_ranking(g),
+    Strategy.KCORE: lambda g, **_: kcore_ranking(g),
+    Strategy.MOST_INFECTED: _most_infected,
+}
+
+
 def compute_ranking(strategy: Strategy | str, g: Graph, *,
                     power: int = DEFAULT_POWER,
                     rates: RateModel | None = None,
@@ -23,23 +43,4 @@ def compute_ranking(strategy: Strategy | str, g: Graph, *,
     protocol; the rest are pure functions of the graph (AV11 also takes the
     matrix power).
     """
-    strategy = Strategy(strategy)
-    if strategy is Strategy.AV11:
-        return av11_ranking(g, power=power)
-    if strategy is Strategy.DEGREE:
-        return degree_ranking(g)
-    if strategy is Strategy.CLOSENESS:
-        return closeness_ranking(g)
-    if strategy is Strategy.BETWEENNESS:
-        return betweenness_ranking(g)
-    if strategy is Strategy.DYNAMICAL_IMPORTANCE:
-        return dynamical_importance_ranking(g)
-    if strategy is Strategy.ESTRADA_INDEX:
-        return estrada_ranking(g)
-    if strategy is Strategy.KCORE:
-        return kcore_ranking(g)
-    if strategy is Strategy.MOST_INFECTED:
-        if rates is None or protocol is None:
-            raise ValueError("most-infected ranking needs a rate model and a protocol")
-        return most_infected_ranking(g, rates, protocol)
-    raise ValueError(f"unhandled strategy {strategy!r}")
+    return _RANKERS[Strategy(strategy)](g, power=power, rates=rates, protocol=protocol)

@@ -65,6 +65,10 @@ class TestRankCommand:
         assert main(["rank", "--graph", "/nope/missing.edges", "--strategy", "degree"]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_directory_graph_exits_3(self, tmp_path, capsys):
+        assert main(["rank", "--graph", str(tmp_path), "--strategy", "degree"]) == 3
+        assert "error" in capsys.readouterr().err
+
 
 class TestThresholdCommand:
     def test_k2_above_threshold(self, tmp_path, capsys):
@@ -195,6 +199,32 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(cfg)]) == 3
         assert "seed set" in capsys.readouterr().err
 
+    def test_malformed_config_exits_3(self, p3_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": p3_file, "seeds": [0]}))
+        assert main(["compare", "--config", str(cfg)]) == 3
+        assert "'budget'" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"graph": p3_file, "budget": "1", "beta_range": 5}))
+        assert main(["compare", "--config", str(cfg)]) == 3
+        assert "'beta_range'" in capsys.readouterr().err
+
+    def test_flags_override_config_fields(self, p3_file, tmp_path, capsys):
+        cfg, csv_out, json_out = (tmp_path / name for name in ("cfg.json", "t.csv", "t.json"))
+        cfg.write_text(json.dumps({"graph": "ieee118", "budget": "5", "steps": 50,
+                                   "power": 3, "calibration_trials": 4}))
+        assert main(["compare", "--config", str(cfg), "--graph", p3_file, "--fmt", "edgelist",
+                     "--relabel", "--budget", "1", "--strategies", "degree", "av11",
+                     "--beta-range", "0.1", "0.2", "--delta-range", "0.3", "0.4",
+                     "--steps", "3", "--trials", "2", "--seed", "7", "--power", "4",
+                     "--seeds", "0", "--output-csv", str(csv_out),
+                     "--output-json", str(json_out)]) == 0
+        assert json.loads(json_out.read_text())["config"] == {
+            "graph": p3_file, "graph_format": "edgelist", "relabel": True,
+            "budget": {"count": 1}, "seeds": [0], "strategies": ["degree", "av11"],
+            "beta_range": [0.1, 0.2], "delta_range": [0.3, 0.4], "steps": 3, "trials": 2,
+            "master_seed": 7, "power": 4, "calibration_trials": 4,
+            "output_csv": str(csv_out), "output_json": str(json_out)}
+
     def test_zero_beta_bounds_rows_by_seed_count(self, tmp_path):
         import networkx as nx
 
@@ -234,6 +264,14 @@ class TestHarnessPieces:
         again = ExperimentConfig.from_json_obj(
             json.loads(json.dumps(config.to_json_obj())))
         assert again == config
+        # Every field away from its default, so none can be dropped on load.
+        everything = ExperimentConfig(
+            graph="g.json", budget=BudgetSpec.from_count(3), seeds=(4,), graph_format="json",
+            relabel=True, strategies=(Strategy.KCORE,), beta_range=(0.2, 0.3),
+            delta_range=(0.3, 0.6), steps=7, trials=9, master_seed=5, power=8,
+            calibration_trials=11, output_csv="t.csv", output_json="t.json")
+        assert ExperimentConfig.from_json_obj(
+            json.loads(json.dumps(everything.to_json_obj()))) == everything
 
     def test_rows_sorted_ascending_and_pct(self, tmp_path):
         import networkx as nx

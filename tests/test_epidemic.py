@@ -2,6 +2,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netimmune import (
     Graph,
@@ -16,6 +18,7 @@ from netimmune import (
     simulate_sis,
     threshold_lambda,
 )
+from netimmune.epidemic import _log_survival_matrix
 
 from conftest import random_graph
 
@@ -96,6 +99,43 @@ class TestModifiedMatrix:
         r = constant_rates(k2, 0.5, 0.4)
         with pytest.raises(ValueError):
             modified_matrix(p3, r)
+
+
+@st.composite
+def graphs_with_rates(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [p for p, k in zip(pairs, keep) if k])
+    unit = st.floats(0.0, 1.0)
+    beta_range = sorted((draw(unit), draw(unit)))
+    delta_range = sorted((draw(unit), draw(unit)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return g, build_rates(g, beta_range, delta_range, seed)
+
+
+def dict_loop_matrices(g, r):
+    """Reference: the modified and log-survival matrices filled entry by entry."""
+    beta = np.zeros((g.n, g.n))
+    for (i, j), v in r.beta.items():
+        beta[i, j] = v
+    m = beta.copy()
+    for i, v in r.delta.items():
+        m[i, i] = 1.0 - v
+    with np.errstate(divide="ignore"):
+        log_s = np.log1p(-beta)
+    log_s[np.isneginf(log_s)] = -800.0
+    return m, log_s
+
+
+class TestDenseRatesMatchDictLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_rates())
+    def test_matrices_equal_reference(self, case):
+        g, r = case
+        m_ref, log_s_ref = dict_loop_matrices(g, r)
+        assert np.array_equal(modified_matrix(g, r).matrix, m_ref)
+        assert np.array_equal(_log_survival_matrix(g, r), log_s_ref)
 
 
 class TestThreshold:
@@ -231,6 +271,10 @@ class TestSimulateSis:
             simulate_sis(c4, r, [0], [], steps=0, trials=2, master_seed=0)
         with pytest.raises(ValueError):
             simulate_sis(c4, r, [0], [], steps=5, trials=0, master_seed=0)
+        with pytest.raises(ValueError):
+            most_infected_ranking(c4, r, SimulationProtocol(steps=0, trials=2))
+        with pytest.raises(ValueError):
+            most_infected_ranking(c4, r, SimulationProtocol(steps=5, trials=0))
 
     def test_trials_reproducible_and_order_independent(self, c4):
         r = build_rates(c4, (0.2, 0.6), (0.1, 0.5), seed=8)

@@ -69,6 +69,10 @@ class TestLoadGraph:
             load_graph('{"n": 2, "edges": [[1, 1]]}', GraphFormat.JSON)
         with pytest.raises(GraphFormatError):
             load_graph("not json", GraphFormat.JSON)
+        with pytest.raises(GraphFormatError):
+            load_graph('{"n": true, "edges": []}', GraphFormat.JSON)
+        with pytest.raises(GraphFormatError):
+            load_graph('{"n": 3, "edges": [[true, 2]]}', GraphFormat.JSON)
 
     def test_bytes_input(self):
         g = load_graph(b"0 1\n", GraphFormat.EDGELIST)
@@ -85,6 +89,10 @@ class TestGraphInvariants:
             Graph(2, [(0, 2)])
         with pytest.raises(GraphFormatError):
             Graph(2, [(0, 1)], labels=["only-one"])
+        with pytest.raises(GraphFormatError):
+            Graph(True, [])
+        with pytest.raises(GraphFormatError):
+            Graph(3, [(True, 2)])
 
     def test_adjacency_symmetric_zero_diagonal(self):
         for seed in range(5):
