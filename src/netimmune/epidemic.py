@@ -17,6 +17,16 @@ from .graph import Graph, Ranking, Strategy
 # Spawn-key prefix separating calibration draws from comparison trials.
 _CALIBRATION_STREAM = 104729
 
+# Working-memory caps of the Monte-Carlo kernel. Trials run in chunks whose
+# per-step state (the infected tensor, its float copy, the escape sums and
+# the boolean temporaries: at most _STATE_BYTES per set, trial and node)
+# stays under _CHUNK_BYTES; each trial of a chunk draws its uniforms for as
+# many steps at once as keep the chunk's draw block under _DRAW_BYTES.
+# Neither cap changes any result.
+_CHUNK_BYTES = 1 << 20
+_DRAW_BYTES = 1 << 19
+_STATE_BYTES = 40
+
 
 @dataclass(frozen=True)
 class RateModel:
@@ -241,36 +251,6 @@ def _log_survival_matrix(g: Graph, r: RateModel) -> np.ndarray:
     return _log_survival(_rate_arrays(g, r)[0])
 
 
-def _sis_trial(log_s: np.ndarray, delta: np.ndarray, seed_mask: np.ndarray,
-               immune_mask: np.ndarray, steps: int,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Synchronous SIS trial; returns (per-step counts, final mask, per-node infected-step tally).
-
-    Within a step: recoveries are decided on the pre-step infected set, then
-    every pre-step infected node transmits; post-recovery susceptibles
-    (including nodes that just recovered) can be (re)infected, so a node
-    infected and recovered in the same step resolves as infected. Draw
-    counts are state-independent (2n uniforms per step) so paired runs with
-    different immunization sets consume identical streams.
-    """
-    n = len(delta)
-    infected = seed_mask.copy()
-    counts = np.empty(steps + 1, dtype=int)
-    counts[0] = int(infected.sum())
-    node_steps = infected.astype(int)
-    for t in range(1, steps + 1):
-        u_rec = rng.random(n)
-        u_inf = rng.random(n)
-        survivors = infected & (u_rec >= delta)
-        log_escape = log_s @ infected.astype(float)
-        p_infect = -np.expm1(log_escape)
-        newly = ~survivors & ~immune_mask & (u_inf < p_infect)
-        infected = survivors | newly
-        counts[t] = int(infected.sum())
-        node_steps += infected
-    return counts, infected, node_steps
-
-
 def _masks(n: int, seeds: Iterable[int], immunized: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
     seed_set, immune_set = set(seeds), set(immunized)
     for name, s in (("seed", seed_set), ("immunized", immune_set)):
@@ -288,27 +268,70 @@ def _masks(n: int, seeds: Iterable[int], immunized: Iterable[int]) -> tuple[np.n
 
 
 def _run_trials(g: Graph, r: RateModel, seeds: Iterable[int] | None,
-                immunized: Iterable[int], steps: int, trials: int, master_seed: int,
-                stream: tuple[int, ...] = ()) -> Iterator[tuple]:
-    """Yield (trial seed sequence, ``_sis_trial`` result) for each trial in order.
+                immunized_sets: Sequence[Iterable[int]], steps: int, trials: int,
+                master_seed: int, stream: tuple[int, ...] = ()) -> Iterator[tuple]:
+    """Run every immunization set's trials together; iterate (first trial, t, infected).
 
-    Trial t draws from a generator seeded by (master_seed, stream, t).
-    ``seeds=None`` rotates a single seed: trial t starts at node t mod n.
+    ``infected`` is the boolean (sets, trials in chunk, n) state at step t =
+    0..steps of the chunk of trials that starts at ``first trial``; chunks
+    come in trial order. Trial t draws from a generator seeded by
+    (master_seed, stream, t), 2n uniforms per step (recoveries, then
+    infections) whatever its state, and every set shares that draw, so the
+    sets are paired by common random numbers and a trial's stream does not
+    depend on the chunking. ``seeds=None`` rotates a single seed: trial t
+    starts at node t mod n.
+
+    Within a step: recoveries are decided on the pre-step infected set, then
+    every pre-step infected node transmits; post-recovery susceptibles
+    (including nodes that just recovered) can be (re)infected, so a node
+    infected and recovered in the same step resolves as infected.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    n = g.n
     beta, delta = _rate_arrays(g, r)
-    log_s = _log_survival(beta)
-    seed_mask, immune_mask = _masks(g.n, () if seeds is None else seeds, immunized)
-    for trial in range(trials):
-        if seeds is None:
-            seed_mask = np.zeros(g.n, dtype=bool)
-            seed_mask[trial % g.n] = True
-        ss = _trial_seed_sequence(master_seed, trial, stream)
-        rng = np.random.default_rng(ss)
-        yield ss, _sis_trial(log_s, delta, seed_mask, immune_mask, steps, rng)
+    # Escape sums are infected @ log_s.T; the transpose is a view, not a copy.
+    log_s_t = _log_survival(beta).T
+    del beta
+    seed_list = () if seeds is None else tuple(seeds)
+    seed_mask, _ = _masks(n, seed_list, ())
+    immune = [_masks(n, seed_list, imm)[1] for imm in immunized_sets]
+    can_catch = ~np.array(immune, dtype=bool).reshape(len(immune), 1, n)
+    chunk = max(1, _CHUNK_BYTES // (_STATE_BYTES * max(1, len(immune)) * n))
+
+    def advance() -> Iterator[tuple]:
+        for first in range(0, trials, chunk):
+            rngs = [np.random.default_rng(_trial_seed_sequence(master_seed, t, stream))
+                    for t in range(first, min(first + chunk, trials))]
+            c = len(rngs)
+            infected = np.zeros((len(immune), c, n), dtype=bool)
+            if seeds is None:
+                infected[:, np.arange(c), np.arange(first, first + c) % n] = True
+            else:
+                infected[:] = seed_mask
+            yield first, 0, infected
+            # rng.random((k, 2, n)) is the stream of k successive random(n) pairs.
+            block = max(1, min(steps, _DRAW_BYTES // (c * 2 * n * 8)))
+            uniforms = np.empty((c, block, 2, n))
+            as_float, p_infect = np.empty(infected.shape), np.empty(infected.shape)
+            for t in range(1, steps + 1):
+                j = (t - 1) % block
+                if j == 0:
+                    drawn = uniforms[:, :min(block, steps + 1 - t)]
+                    for rng, u in zip(rngs, drawn):
+                        rng.random(out=u)
+                survivors = infected & (uniforms[:, j, 0] >= delta)
+                # p_infect = -expm1(infected @ log_s.T), in two reused buffers.
+                np.copyto(as_float, infected)
+                np.matmul(as_float, log_s_t, out=p_infect)
+                np.negative(np.expm1(p_infect, out=p_infect), out=p_infect)
+                newly = ~survivors & can_catch & (uniforms[:, j, 1] < p_infect)
+                infected = survivors | newly
+                yield first, t, infected
+
+    return advance()
 
 
 def simulate_sis(g: Graph, r: RateModel, seeds: Iterable[int], immunized: Iterable[int],
@@ -329,17 +352,45 @@ def simulate_sis(g: Graph, r: RateModel, seeds: Iterable[int], immunized: Iterab
         "immunized": immunized,
         "master_seed": master_seed,
     }
+    runs = _run_trials(g, r, seeds, [immunized], steps, trials, master_seed)
+    counts = np.empty((trials, steps + 1), dtype=np.int64)
+    finals = []
+    for first, t, infected in runs:
+        counts[first:first + infected.shape[1], t] = infected[0].sum(axis=1)
+        if t == steps:
+            finals.extend(row.nonzero()[0] for row in infected[0])
     return [
         SimulationOutcome(
-            infected_counts=tuple(int(c) for c in counts),
-            final_infected=tuple(int(i) for i in np.nonzero(final_mask)[0]),
+            infected_counts=tuple(counts[trial].tolist()),
+            final_infected=tuple(finals[trial].tolist()),
             trial_index=trial,
-            trial_seed=int(ss.generate_state(1)[0]),
+            trial_seed=int(_trial_seed_sequence(master_seed, trial).generate_state(1)[0]),
             params=params,
         )
-        for trial, (ss, (counts, final_mask, _)) in enumerate(
-            _run_trials(g, r, seeds, immunized, steps, trials, master_seed))
+        for trial in range(trials)
     ]
+
+
+def simulate_sis_paired(g: Graph, r: RateModel, seeds: Iterable[int],
+                        immunized_sets: Sequence[Iterable[int]], steps: int, trials: int,
+                        master_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo SIS for several immunization sets on the same trials.
+
+    Returns (final counts, summed trajectories), both int64 with one row per
+    set: row s holds each trial's final infected count (shape (sets,
+    trials)) and the infected count at each step summed over trials (shape
+    (sets, steps + 1)). Every set replays the same per-trial draws, so row s
+    equals what ``simulate_sis`` gives for ``immunized_sets[s]``.
+    """
+    runs = _run_trials(g, r, sorted(set(seeds)), immunized_sets, steps, trials, master_seed)
+    finals = np.empty((len(immunized_sets), trials), dtype=np.int64)
+    totals = np.zeros((len(immunized_sets), steps + 1), dtype=np.int64)
+    for first, t, infected in runs:
+        counts = infected.sum(axis=2)
+        totals[:, t] += counts.sum(axis=1)
+        if t == steps:
+            finals[:, first:first + counts.shape[1]] = counts
+    return finals, totals
 
 
 def most_infected_ranking(g: Graph, r: RateModel,
@@ -349,9 +400,11 @@ def most_infected_ranking(g: Graph, r: RateModel,
     Uses a dedicated RNG stream so the calibration never shares draws with
     the comparison trials of the same master seed.
     """
-    runs = _run_trials(g, r, protocol.seeds, (), protocol.steps, protocol.trials,
+    runs = _run_trials(g, r, protocol.seeds, [()], protocol.steps, protocol.trials,
                        protocol.master_seed, stream=(_CALIBRATION_STREAM,))
-    totals = sum(node_steps for _, (_, _, node_steps) in runs)
+    totals = np.zeros(g.n, dtype=np.int64)
+    for _, _, infected in runs:
+        totals += infected[0].sum(axis=0)
     return Ranking.from_scores(Strategy.MOST_INFECTED, totals)
 
 
@@ -364,8 +417,9 @@ def scale_rates_to_threshold(g: Graph, r: RateModel, target: float,
     with every beta kept within [0, 1].
     """
     beta, delta = _rate_arrays(g, r)
-    if not r.beta:
-        raise ValueError("graph has no edges; lambda_M cannot be scaled via beta")
+    if not beta.any():
+        raise ValueError("every beta is 0 (or the graph has no edges); "
+                         "lambda_M cannot be scaled via beta")
 
     def lam(scale: float) -> float:
         m = beta * scale
@@ -374,7 +428,7 @@ def scale_rates_to_threshold(g: Graph, r: RateModel, target: float,
 
     if lam(0.0) > target:
         raise ValueError(f"target {target} is below max(1 - delta) = {lam(0.0):.6f}")
-    hi = 1.0 / max(r.beta.values())
+    hi = 1.0 / beta.max()
     if lam(hi) < target:
         raise ValueError(f"target {target} unreachable with beta <= 1 "
                          f"(max lambda_M = {lam(hi):.6f})")

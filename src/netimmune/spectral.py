@@ -10,6 +10,7 @@ the power drives the top eigenvalue down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,6 +22,10 @@ from .graph import BudgetSpec, Graph, Ranking, Strategy
 # (the l_p norm of the shifted spectrum falls toward its max entry); 64 keeps
 # hub-heavy graphs sharp while staying far from float overflow at desk scales.
 DEFAULT_POWER = 64
+
+# A matrix power whose largest diagonal entry passes this value is scaled by
+# an exact power of two, so the product of two such matrices stays finite.
+_RESCALE_ABOVE = 2.0 ** 256
 
 
 @dataclass(frozen=True)
@@ -84,11 +89,49 @@ def _check_power(p: int) -> None:
         raise ValueError(f"power must be a positive even integer, got {p!r}")
 
 
+def _rescaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """Scale m in place by 2**-e and return (m, e), with e >= 0 chosen so the
+    largest diagonal entry ends in [2**127, 2**128) when it is above
+    _RESCALE_ABOVE, else e = 0. For a positive-definite m that entry is the
+    largest in the matrix."""
+    top = float(np.diagonal(m).max())
+    if top <= _RESCALE_ABOVE:
+        return m, 0
+    e = math.frexp(top)[1] - 128
+    return np.ldexp(m, -e, out=m), e
+
+
+def _matrix_power(m: np.ndarray, power: int) -> tuple[np.ndarray, int]:
+    """(P, e) with m**power = P * 2**e, for a positive-definite m and power >= 2.
+
+    Squares in ``np.linalg.matrix_power``'s order (bits of the power from
+    the least significant up, the running product on the left), and scales
+    by exact powers of two only, so wherever that function's result is
+    finite P equals it times 2**-e bit for bit, and here it never overflows.
+    """
+    z, z_exp = m, 0
+    result = None
+    while True:
+        power, bit = divmod(power, 2)
+        if bit:
+            if result is None:
+                result, exp = z, z_exp
+            else:
+                result, e = _rescaled(result @ z)
+                exp += z_exp + e
+        if power == 0:
+            return result, exp
+        z, e = _rescaled(z @ z)
+        z_exp = 2 * z_exp + e
+
+
 def _argmax_lowest_id(values: np.ndarray, active: np.ndarray) -> int:
     # Symmetric nodes produce diagonal entries equal up to round-off; a
-    # relative tolerance keeps the id tie-break deterministic.
+    # relative tolerance keeps the id tie-break deterministic. The diagonal
+    # of an unscaled AV11 power is at least 1 (every eigenvalue of the
+    # shifted matrix is), so the tolerance is relative to the largest value.
     vmax = values[active].max()
-    tol = 1e-9 * max(1.0, abs(vmax))
+    tol = 1e-9 * abs(vmax)
     candidates = np.nonzero(active & (values >= vmax - tol))[0]
     return int(candidates[0])
 
@@ -114,7 +157,7 @@ def av11_select(g: Graph, budget: BudgetSpec | int,
     active = np.ones(g.n, dtype=bool)
     selected: list[int] = []
     for _ in range(k):
-        p_mat = np.linalg.matrix_power(masked + shift, power)
+        p_mat, _ = _matrix_power(masked + shift, power)
         node = _argmax_lowest_id(np.diagonal(p_mat), active)
         selected.append(node)
         active[node] = False
@@ -168,6 +211,8 @@ def trace_power_bound(g: Graph, mask: Iterable[int],
     _check_power(power)
     d = diagonal_shift(g)
     masked = masked_adjacency(g, mask)
-    p_mat = np.linalg.matrix_power(masked + d * np.eye(g.n), power)
-    bound = float(np.trace(p_mat)) ** (1.0 / power) - d
+    p_mat, exp = _matrix_power(masked + d * np.eye(g.n), power)
+    # trace^(1/p) with trace = tr(P) * 2**exp: the exponent's root is taken
+    # in log2 space, and is exactly 1 when nothing was rescaled.
+    bound = float(np.trace(p_mat)) ** (1.0 / power) * 2.0 ** (exp / power) - d
     return bound, _lambda_1(masked)

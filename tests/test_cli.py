@@ -1,6 +1,7 @@
 import io
 import json
 
+import networkx as nx
 import pytest
 
 from netimmune import BudgetSpec, ExperimentConfig, Strategy
@@ -68,6 +69,15 @@ class TestRankCommand:
     def test_directory_graph_exits_3(self, tmp_path, capsys):
         assert main(["rank", "--graph", str(tmp_path), "--strategy", "degree"]) == 3
         assert "error" in capsys.readouterr().err
+
+    def test_av11_high_power_dense_graph(self, tmp_path, capsys):
+        # (Z A Z + d I)^256 overflows float64 on G(200, 0.5) unless rescaled.
+        nxg = nx.gnp_random_graph(200, 0.5, seed=1)
+        path = tmp_path / "dense.edges"
+        path.write_text("".join(f"{u} {v}\n" for u, v in nxg.edges()))
+        assert main(["rank", "--graph", str(path), "--strategy", "av11", "--power", "256",
+                     "--format", "json"]) == 0
+        assert sorted(json.loads(capsys.readouterr().out)["order"]) == list(range(200))
 
 
 class TestThresholdCommand:

@@ -1,4 +1,5 @@
 from collections import deque
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from netimmune import (
     most_infected_ranking,
     scale_rates_to_threshold,
     simulate_sis,
+    simulate_sis_paired,
     threshold_lambda,
 )
-from netimmune.epidemic import _log_survival_matrix
+from netimmune import epidemic
+from netimmune.epidemic import _CALIBRATION_STREAM, _log_survival_matrix
 
 from conftest import random_graph
 
@@ -136,6 +139,118 @@ class TestDenseRatesMatchDictLoop:
         m_ref, log_s_ref = dict_loop_matrices(g, r)
         assert np.array_equal(modified_matrix(g, r).matrix, m_ref)
         assert np.array_equal(_log_survival_matrix(g, r), log_s_ref)
+
+
+def reference_sis_trials(g, r, seeds, immunized, steps, trials, master_seed, stream=()):
+    """Reference: one trial at a time, one step at a time, two random(n) draws per step.
+
+    Yields (per-step counts, final mask, per-node infected-step tally) per
+    trial. ``seeds=None`` starts trial t at node t mod n.
+    """
+    log_s = _log_survival_matrix(g, r)
+    delta = np.array([r.delta[i] for i in range(g.n)])
+    immune_mask = np.zeros(g.n, dtype=bool)
+    immune_mask[list(immunized)] = True
+    for trial in range(trials):
+        infected = np.zeros(g.n, dtype=bool)
+        infected[[trial % g.n] if seeds is None else list(seeds)] = True
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=master_seed, spawn_key=stream + (trial,)))
+        counts = [int(infected.sum())]
+        node_steps = infected.astype(int)
+        for _ in range(steps):
+            u_rec = rng.random(g.n)
+            u_inf = rng.random(g.n)
+            survivors = infected & (u_rec >= delta)
+            p_infect = -np.expm1(log_s @ infected.astype(float))
+            newly = ~survivors & ~immune_mask & (u_inf < p_infect)
+            infected = survivors | newly
+            counts.append(int(infected.sum()))
+            node_steps += infected
+        yield counts, infected, node_steps
+
+
+@contextmanager
+def kernel_caps(n, sets, chunk, block):
+    """Size the kernel's memory caps so a chunk holds ``chunk`` trials of
+    ``sets`` immunization sets and a full chunk draws ``block`` steps at once."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(epidemic, "_CHUNK_BYTES", chunk * epidemic._STATE_BYTES * max(1, sets) * n)
+        mp.setattr(epidemic, "_DRAW_BYTES", block * chunk * 2 * n * 8)
+        yield
+
+
+@st.composite
+def sis_cases(draw):
+    """A graph with rates, seeds, 1-3 immunization sets disjoint from the seeds,
+    a protocol, and a chunk size and draw block that split it."""
+    g, r = draw(graphs_with_rates())
+    nodes = st.sets(st.integers(0, g.n - 1))
+    seeds = draw(nodes)
+    immunized_sets = draw(st.lists(nodes.map(lambda s: sorted(s - seeds)),
+                                   min_size=1, max_size=3))
+    steps = draw(st.integers(1, 12))
+    trials = draw(st.integers(1, 7))
+    return dict(g=g, r=r, seeds=sorted(seeds), immunized_sets=immunized_sets, steps=steps,
+                trials=trials, master_seed=draw(st.integers(0, 2**32 - 1)),
+                chunk=draw(st.integers(1, trials)), block=draw(st.integers(1, steps)))
+
+
+class TestBatchedKernelMatchesReference:
+    """The batched kernel against the per-trial reference loop, with trials
+    split over several chunks and steps over several draw blocks."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sis_cases())
+    def test_simulate_sis_equals_reference(self, case):
+        g, r, seeds, steps, trials = (case[k] for k in ("g", "r", "seeds", "steps", "trials"))
+        immunized = case["immunized_sets"][0]
+        with kernel_caps(g.n, 1, case["chunk"], case["block"]):
+            outcomes = simulate_sis(g, r, seeds, immunized, steps, trials,
+                                    case["master_seed"])
+        reference = list(reference_sis_trials(g, r, seeds, immunized, steps, trials,
+                                              case["master_seed"]))
+        assert [list(o.infected_counts) for o in outcomes] == [c for c, _, _ in reference]
+        assert [list(o.final_infected) for o in outcomes] == [
+            np.nonzero(final)[0].tolist() for _, final, _ in reference]
+
+    @settings(max_examples=100, deadline=None)
+    @given(sis_cases())
+    def test_most_infected_equals_reference(self, case):
+        g, r, steps, trials = (case[k] for k in ("g", "r", "steps", "trials"))
+        for seeds in (tuple(case["seeds"]) or None, None):
+            protocol = SimulationProtocol(seeds=seeds, steps=steps, trials=trials,
+                                          master_seed=case["master_seed"])
+            with kernel_caps(g.n, 1, case["chunk"], case["block"]):
+                ranking = most_infected_ranking(g, r, protocol)
+            totals = sum(tally for _, _, tally in reference_sis_trials(
+                g, r, seeds, (), steps, trials, case["master_seed"],
+                stream=(_CALIBRATION_STREAM,)))
+            assert ranking.scores == tuple(float(x) for x in totals)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sis_cases())
+    def test_paired_rows_equal_simulate_sis(self, case):
+        g, r, seeds, sets, steps, trials, master_seed = (case[k] for k in (
+            "g", "r", "seeds", "immunized_sets", "steps", "trials", "master_seed"))
+        with kernel_caps(g.n, len(sets), case["chunk"], case["block"]):
+            finals, totals = simulate_sis_paired(g, r, seeds, sets, steps, trials, master_seed)
+        assert finals.dtype == totals.dtype == np.int64
+        assert finals.shape == (len(sets), trials) and totals.shape == (len(sets), steps + 1)
+        for row, immunized in enumerate(sets):
+            counts = [o.infected_counts
+                      for o in simulate_sis(g, r, seeds, immunized, steps, trials, master_seed)]
+            assert finals[row].tolist() == [c[-1] for c in counts]
+            assert totals[row].tolist() == np.sum(counts, axis=0).tolist()
+
+    @settings(max_examples=50, deadline=None)
+    @given(sis_cases())
+    def test_budget_zero_rows_identical(self, case):
+        g, r, seeds, steps, trials = (case[k] for k in ("g", "r", "seeds", "steps", "trials"))
+        with kernel_caps(g.n, 3, case["chunk"], case["block"]):
+            finals, totals = simulate_sis_paired(g, r, seeds, [(), (), ()], steps, trials,
+                                                 case["master_seed"])
+        assert (finals == finals[0]).all() and (totals == totals[0]).all()
 
 
 class TestThreshold:
@@ -348,10 +463,15 @@ class TestScaleRates:
         with pytest.raises(ValueError):
             scale_rates_to_threshold(g, base, 50.0)
 
+    def test_all_zero_beta_rejected(self, p3):
+        base = build_rates(p3, (0, 0), (0.5, 0.5), seed=1)
+        with pytest.raises(ValueError, match="every beta is 0"):
+            scale_rates_to_threshold(p3, base, 0.6)
+
 
 class TestThresholdConsistency:
     def test_twenty_er_graphs_die_or_persist(self):
-        # Takes about a minute: 20 graphs x 2 regimes x 200 trials x 500 steps.
+        # 20 graphs x 2 regimes x 200 trials x 500 steps: about 10 s on two cores.
         n, trials, steps = 50, 200, 500
         rng = np.random.default_rng(1234)
         for case in range(20):

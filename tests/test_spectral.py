@@ -16,6 +16,7 @@ from netimmune import (
     spectrum,
     trace_power_bound,
 )
+from netimmune.spectral import _matrix_power
 
 from conftest import random_graph
 
@@ -241,3 +242,28 @@ class TestTraceBound:
             mask = [int(x) for x in rng.choice(12, size=int(rng.integers(0, 6)), replace=False)]
             shifted = masked_adjacency(g, mask) + d * np.eye(g.n)
             assert np.linalg.eigvalsh(shifted)[0] >= 1.0 - 1e-9
+
+
+class TestHighPowers:
+    def test_matrix_power_equals_numpy_wherever_finite(self):
+        # Powers up to 192 of shifted dense graphs pass the rescaling
+        # threshold while numpy's own power is still finite.
+        for seed in range(6):
+            g = random_graph(30, 0.5, seed + 900)
+            shifted = g.adjacency_matrix() + diagonal_shift(g) * np.eye(g.n)
+            for p in (2, 4, 6, 16, 64, 126, 192):
+                p_mat, exp = _matrix_power(shifted, p)
+                with np.errstate(over="ignore"):
+                    ref = np.linalg.matrix_power(shifted, p)
+                assert np.isfinite(p_mat).all()
+                if np.isfinite(ref).all():
+                    assert np.array_equal(np.ldexp(p_mat, exp), ref)
+
+    def test_dense_graph_at_power_256(self):
+        g = random_graph(200, 0.5, 1)
+        bound, lam = trace_power_bound(g, [], power=256)
+        assert math.isfinite(bound)
+        assert lam - 1e-9 <= bound <= lam + 1.0
+        selected, residual = av11_select(g, 20, power=256)
+        assert len(set(selected)) == 20
+        assert math.isfinite(residual)
