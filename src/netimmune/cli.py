@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="write full traces as JSON")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("oracle", help="exhaustive optimal removal vs the greedy selection")
+    p = sub.add_parser("oracle", help="exact optimal removal vs the greedy selection")
     _add_graph_args(p)
     p.add_argument("-k", type=int, required=True, help="number of nodes to remove")
     p.add_argument("--power", type=int, default=DEFAULT_POWER)

@@ -1,16 +1,19 @@
-"""Exhaustive reference solver for optimal k-node removal (minimum residual lambda_1).
+"""Exact reference solver for optimal k-node removal (minimum residual lambda_1).
 
-Budgeted removal is NP-complete, so enumeration is the only exact oracle;
-it caps the instance size and exists to measure what the greedy selection
-trades away and to cross-check the interlacing floor.
+Budgeted removal is NP-complete, so an exact oracle searches the subsets:
+a Rayleigh lower bound prunes the ones that cannot tie or beat the best,
+and the table mode still enumerates every subset. It caps the instance size
+and exists to measure what the greedy selection trades away and to
+cross-check the interlacing floor.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import IO
 
 import numpy as np
@@ -23,6 +26,22 @@ SUBSET_LIMIT = 10_000_000
 # Residuals closer than this are the same removal quality; the earlier
 # (lexicographically smaller) subset is kept.
 _TIE_TOL = 1e-9
+
+# Round-off allowance of the pruned search, relative to max(1, lambda_1(A)):
+# it covers the error of both the Rayleigh bound and eigvalsh.
+_SLACK = 1e-10
+# The bound is used only where the zeroed eigenvector keeps more than this
+# share of its mass; below it the bound's round-off (about eps * lambda_1 /
+# mass) could exceed the slack.
+_MIN_MASS = 1e-4
+
+# Working memory of one chunk of subsets: index rows and Rayleigh bound
+# terms (at most (k + 2)^2 floats per subset) stay under _CHUNK_BYTES, and
+# so do the stacked masked matrices of one eigvalsh call.
+# The pruned search solves at most _SOLVE_BATCH subsets per call, so it stops
+# soon after the bounds pass the least residual. Neither cap changes a result.
+_CHUNK_BYTES = 1 << 19
+_SOLVE_BATCH = 16
 
 
 class CombinationGuardError(ValueError):
@@ -48,26 +67,100 @@ def optimal_removal(g: Graph, k: int, *, keep_table: bool = False,
     """Minimum residual lambda_1 over all k-subsets.
 
     Returns (best subset, its residual lambda_1, enumeration table or None).
-    Ties within 1e-9 resolve to the lexicographically smallest subset; the
-    table lists every (subset, residual lambda_1) in enumeration order.
+    The best subset is the lexicographically smallest one whose residual is
+    within 1e-9 of the minimum; the table lists every (subset, residual
+    lambda_1) in enumeration order.
+
+    Without a table the search is exact but pruned. With x the top unit
+    eigenvector of A, zeroing x on a subset S gives a Rayleigh test vector
+    for Z A Z, so
+
+        lambda_1(A - S) >= (x'Ax - 2 sum_{s in S} x_s (Ax)_s
+                            + sum_{s, t in S} x_s x_t A_st) / (1 - sum_{s in S} x_s^2).
+
+    Subsets are enumerated in chunks and solved in ascending order of that
+    bound; a chunk stops once the next bound exceeds the least residual so
+    far by more than the tie tolerance plus a round-off slack, since no
+    later subset can then tie or beat it. With ``keep_table`` every subset
+    is solved. Both return the same subset and residual, bit for bit.
     """
     _check_guard(g.n, k)
     a = g.adjacency_matrix()
-    best_set: tuple[int, ...] | None = None
+    slack = 0.0
+    if not keep_table:
+        w, v = np.linalg.eigh(a)
+        x = v[:, -1]
+        ax = a @ x
+        slack = _SLACK * max(1.0, float(w[-1]))
+    batch = max(1, min(_SOLVE_BATCH, _CHUNK_BYTES // (8 * g.n * g.n)))
     best_lam = math.inf
+    # Candidates in enumeration (lexicographic) order with strictly falling
+    # residuals, all within _TIE_TOL of the least so far: a later subset that
+    # does not undercut every earlier candidate can never be the answer.
+    stairs: list[tuple[tuple[int, ...], float]] = []
     table: list[tuple[tuple[int, ...], float]] | None = [] if keep_table else None
-    for subset in combinations(range(g.n), k):
-        masked = a.copy()
-        idx = list(subset)
-        masked[idx, :] = 0.0
-        masked[:, idx] = 0.0
-        lam = float(np.linalg.eigvalsh(masked)[-1])
+    for subsets in _subset_chunks(g.n, k):
+        residuals = np.full(len(subsets), np.nan)
+        lb = (np.full(len(subsets), -np.inf) if keep_table
+              else _rayleigh_bounds(a, x, ax, subsets))
+        order = np.argsort(lb, kind="stable")
+        for start in range(0, len(order), batch):
+            if lb[order[start]] > best_lam + _TIE_TOL + slack:
+                break
+            rows = order[start:start + batch]
+            residuals[rows] = _residuals(a, subsets[rows])
+            best_lam = min(best_lam, float(residuals[rows].min()))
         if table is not None:
-            table.append((subset, lam))
-        if lam < best_lam - _TIE_TOL:
-            best_lam = lam
-            best_set = subset
+            table.extend(zip(map(tuple, subsets.tolist()), residuals.tolist()))
+        for i in np.flatnonzero(residuals <= best_lam + _TIE_TOL):
+            if not stairs or residuals[i] < stairs[-1][1]:
+                stairs.append((tuple(subsets[i].tolist()), float(residuals[i])))
+        stairs = [c for c in stairs if c[1] <= best_lam + _TIE_TOL]
+    best_set, best_lam = stairs[0]
     return best_set, best_lam, table
+
+
+def _subset_chunks(n: int, k: int) -> Iterator[np.ndarray]:
+    """The k-subsets of range(n) in lexicographic order, as (rows, k) index arrays."""
+    rows = max(1, _CHUNK_BYTES // (8 * (k + 2) ** 2))
+    it = combinations(range(n), k)
+    total = math.comb(n, k)
+    for start in range(0, total, rows):
+        m = min(rows, total - start)
+        flat = np.fromiter(chain.from_iterable(islice(it, m)), dtype=np.intp, count=m * k)
+        yield flat.reshape(m, k)
+
+
+def _rayleigh_bounds(a: np.ndarray, x: np.ndarray, ax: np.ndarray,
+                     subsets: np.ndarray) -> np.ndarray:
+    """Rayleigh lower bound on lambda_1 of A with each row's nodes removed.
+
+    x is any unit vector, ax = A x. Where the zeroed vector keeps too little of
+    x's mass, the bound's round-off could exceed the slack, so it is -inf
+    there and those subsets are always solved.
+    """
+    xs = x[subsets]
+    cross = np.einsum("ms,mst,mt->m", xs, a[subsets[:, :, None], subsets[:, None, :]], xs)
+    num = x @ ax - 2.0 * np.einsum("ms,ms->m", xs, ax[subsets]) + cross
+    den = x @ x - np.einsum("ms,ms->m", xs, xs)
+    keep = den > _MIN_MASS
+    out = np.full(len(subsets), -np.inf)
+    out[keep] = num[keep] / den[keep]
+    return out
+
+
+def _residuals(a: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """lambda_1 of A with each row's nodes zeroed, one stacked eigvalsh call.
+
+    Each masked matrix goes through the same LAPACK routine as a lone
+    ``eigvalsh`` of it, so the values equal a per-subset loop bit for bit.
+    """
+    m = len(subsets)
+    masked = np.broadcast_to(a, (m, *a.shape)).copy()
+    rows = np.arange(m)[:, None]
+    masked[rows, subsets, :] = 0.0
+    masked[rows, :, subsets] = 0.0
+    return np.linalg.eigvalsh(masked)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -97,7 +190,7 @@ class GapReport:
 
 
 def gap_report(g: Graph, k: int, power: int = DEFAULT_POWER) -> GapReport:
-    """Quantify the greedy selection against the exhaustive optimum and the floor.
+    """Quantify the greedy selection against the exact optimum and the floor.
 
     The interlacing floor lambda_{k+1} bounds the eigenvalue itself and can
     be negative; the clamped value max(floor, 0) is reported alongside since

@@ -1,7 +1,10 @@
+import csv
 import io
 import json
+from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from netimmune import BudgetSpec, ExperimentConfig, Strategy
@@ -121,6 +124,28 @@ class TestOracleCommand:
         out = tmp_path / "table.csv"
         assert main(["oracle", "--graph", star_file, "-k", "1", "--table", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "subset,residual_lambda1"
+
+    def test_table_csv_equals_per_subset_loop(self, tmp_path, capsys):
+        """The CSV is byte for byte the one a masked copy and one eigvalsh
+        per subset give, in enumeration order."""
+        edges = [(i, (i + 1) % 9) for i in range(9)] + [(0, 4), (2, 6), (3, 7), (1, 5)]
+        path = tmp_path / "g.edges"
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        out = tmp_path / "table.csv"
+        assert main(["oracle", "--graph", str(path), "-k", "3", "--table", str(out)]) == 0
+        a = np.zeros((9, 9))
+        for u, v in edges:
+            a[u, v] = a[v, u] = 1.0
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["subset", "residual_lambda1"])
+        for subset in combinations(range(9), 3):
+            masked = a.copy()
+            masked[list(subset), :] = 0.0
+            masked[:, list(subset)] = 0.0
+            lam = float(np.linalg.eigvalsh(masked)[-1])
+            writer.writerow([" ".join(map(str, subset)), repr(lam)])
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 class TestSimulateCommand:

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netimmune import (
     CombinationGuardError,
@@ -14,14 +16,65 @@ from netimmune import (
     optimal_removal,
     separation_lower_bound,
     spectrum,
+    trace_power_bound,
 )
+from netimmune import oracle
 from netimmune.oracle import write_enumeration_csv
 
-from conftest import random_graph
+from conftest import random_graph, star_graph
 
 
 def lam1(matrix):
     return float(np.linalg.eigvalsh(matrix)[-1])
+
+
+def loop_residuals(g, k):
+    """Reference: one masked copy and one eigvalsh per subset, in enumeration order."""
+    a = g.adjacency_matrix()
+    out = []
+    for subset in combinations(range(g.n), k):
+        masked = a.copy()
+        idx = list(subset)
+        masked[idx, :] = 0.0
+        masked[:, idx] = 0.0
+        out.append(float(np.linalg.eigvalsh(masked)[-1]))
+    return out
+
+
+def tie_rule(table, tol=1e-9):
+    """The lexicographically smallest (subset, residual) within tol of the minimum."""
+    least = min(lam for _, lam in table)
+    return next((s, lam) for s, lam in table if lam <= least + tol)
+
+
+def disjoint_copies(g):
+    return Graph(2 * g.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in g.edges])
+
+
+@st.composite
+def gnp_graphs(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, k in zip(pairs, keep) if k])
+
+
+# G(n, p) graphs plus families where many subsets tie or lambda_1 is
+# degenerate, so the top eigenvector is not unique.
+graphs = st.one_of(
+    gnp_graphs(),
+    st.integers(3, 12).map(lambda n: Graph(n, [(i, (i + 1) % n) for i in range(n)])),
+    st.integers(1, 12).map(lambda n: Graph(n, list(combinations(range(n), 2)))),
+    st.integers(1, 11).map(star_graph),
+    gnp_graphs(max_n=6).map(disjoint_copies),
+    st.integers(1, 12).map(lambda n: Graph(n, [])),
+)
+
+
+@st.composite
+def graphs_and_budgets(draw):
+    g = draw(graphs)
+    return g, draw(st.integers(0, min(4, g.n)))
 
 
 class TestOptimalRemoval:
@@ -55,6 +108,74 @@ class TestOptimalRemoval:
     def test_table_covers_all_subsets(self, c4):
         _, _, table = optimal_removal(c4, 2, keep_table=True)
         assert [s for s, _ in table] == list(combinations(range(4), 2))
+
+    def test_k0_is_lambda1_of_a(self):
+        g = random_graph(9, 0.4, 3)
+        assert optimal_removal(g, 0)[:2] == ((), lam1(g.adjacency_matrix()))
+
+    def test_k_equals_n_removes_everything(self, c4):
+        assert optimal_removal(c4, 4)[:2] == ((0, 1, 2, 3), 0.0)
+
+    def test_edgeless_graph(self):
+        assert optimal_removal(Graph(5, []), 2)[:2] == ((0, 1), 0.0)
+
+    def test_disconnected_degenerate_lambda1(self):
+        # Two disjoint K4s: lambda_1 = 3 twice, so the top eigenvector is any
+        # mix of the two blocks. One node from each block leaves two K3s.
+        g = disjoint_copies(Graph(4, list(combinations(range(4), 2))))
+        best, lam, table = optimal_removal(g, 2, keep_table=True)
+        assert (best, lam) == tie_rule(table) == optimal_removal(g, 2)[:2]
+        assert best == (0, 4)
+        assert lam == pytest.approx(2.0, abs=1e-12)
+
+    def test_complete_graph_all_ties(self):
+        best, lam, _ = optimal_removal(Graph(12, list(combinations(range(12), 2))), 3)
+        assert best == (0, 1, 2)
+        assert lam == pytest.approx(8.0, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_and_budgets(), st.sampled_from((1e-9, 0.0, 0.25)),
+           st.integers(64, 1 << 14))
+    # Every bound on K8 ties its residual up to round-off, which only the
+    # slack covers at tolerance 0.
+    @example((Graph(8, list(combinations(range(8), 2))), 1), 0.0, 64)
+    # Node 3 leaves 1.414 and node 2 leaves 1.618; in one chunk, solved in
+    # bound order, node 2 is within the 0.25 tolerance but solved after 3.
+    @example((Graph(5, [(0, 3), (1, 4), (2, 3), (2, 4), (3, 4)]), 1), 0.25, 512)
+    def test_pruned_equals_tie_rule_on_the_table(self, case, tol, chunk_bytes):
+        """Exact at the package's tie tolerance and at others (0 leaves only
+        the round-off slack between a bound and a tie; 0.25 makes near-ties
+        common), with chunks small enough that most searches span several."""
+        g, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_TIE_TOL", tol)
+            mp.setattr(oracle, "_CHUNK_BYTES", chunk_bytes)
+            pruned = optimal_removal(g, k)[:2]
+            _, _, table = optimal_removal(g, k, keep_table=True)
+        assert [s for s, _ in table] == list(combinations(range(g.n), k))
+        assert np.array_equal([lam for _, lam in table], loop_residuals(g, k))
+        assert pruned == tie_rule(table, tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_and_budgets(), st.integers(0, 2**32 - 1))
+    def test_rayleigh_bound_is_the_zeroed_quotient(self, case, seed):
+        """For any unit x, the bound is the Rayleigh quotient of x with the
+        subset zeroed (-inf where too little mass is left) and never exceeds
+        the exact residual."""
+        g, k = case
+        a = g.adjacency_matrix()
+        x = np.random.default_rng(seed).standard_normal(g.n)
+        x /= np.linalg.norm(x)
+        subsets = np.array(list(combinations(range(g.n), k)), dtype=np.intp)
+        subsets = subsets.reshape(math.comb(g.n, k), k)
+        bounds = oracle._rayleigh_bounds(a, x, a @ x, subsets)
+        for row, bound, lam in zip(subsets, bounds, loop_residuals(g, k)):
+            y = x.copy()
+            y[row] = 0.0
+            mass = y @ y
+            expected = y @ a @ y / mass if mass > oracle._MIN_MASS else -np.inf
+            assert bound == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert bound <= lam + 1e-9
 
     def test_table_row_matches_av11_residual(self):
         for seed in range(4):
@@ -92,6 +213,22 @@ class TestGapReport:
                 rep = gap_report(g, k)
                 floor = separation_lower_bound(s, k)
                 assert floor - 1e-9 <= rep.optimal_lambda1 <= rep.av11_lambda1 + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_and_budgets())
+    def test_floor_optimal_av11_chain_property(self, case):
+        g, k = case
+        rep = gap_report(g, k)
+        assert rep.floor_clamped - 1e-9 <= rep.optimal_lambda1 <= rep.av11_lambda1 + 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs, st.data())
+    def test_trace_bound_dominates_lambda1_property(self, g, data):
+        mask = data.draw(st.sets(st.integers(0, g.n - 1)))
+        power = data.draw(st.integers(1, 40)) * 2
+        bound, lam = trace_power_bound(g, mask, power)
+        assert lam == lam1(masked_adjacency(g, mask))
+        assert bound >= lam - 1e-9
 
     def test_exhaustive_chain_small_graphs(self):
         for seed in range(4):
