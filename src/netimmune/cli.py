@@ -227,9 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # ValueError also covers np.linalg.LinAlgError; ArithmeticError covers
+    # OverflowError and FloatingPointError.
     try:
         return args.func(args)
-    except (ValueError, GraphFormatError, OSError) as e:
+    except (ValueError, ArithmeticError, GraphFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -176,10 +176,37 @@ def av11_ranking(g: Graph, power: int = DEFAULT_POWER) -> Ranking:
 
 
 def dynamical_importance_ranking(g: Graph) -> Ranking:
-    """Rank by the drop of lambda_1 when a single node is removed (exact eigensolves)."""
-    lam1 = _lambda_1(g.adjacency_matrix())
-    scores = [lam1 - _lambda_1(masked_adjacency(g, [i])) for i in range(g.n)]
-    return Ranking.from_scores(Strategy.DYNAMICAL_IMPORTANCE, scores)
+    """Rank by the drop of lambda_1 when a single node is removed.
+
+    Exact, from one eigendecomposition A = U diag(lambda) U^T: the
+    eigenvalues of A with row and column i deleted are the zeros of the
+    secular function f_i(mu) = sum_j U_ij^2 / (lambda_j - mu), and the
+    largest, mu_i, is the one zero in [lambda_2, lambda_1] (Cauchy
+    interlacing; an endpoint when U_i1 or U_i2 is 0). f_i increases on that
+    interval, so one bisection over all nodes at once brackets every mu_i
+    to 4 eps * max(1, |lambda_1|). Z A Z keeps an extra 0 eigenvalue, so the
+    score is lambda_1 - max(mu_i, 0).
+    """
+    spec = spectrum(g, want_vectors=True)
+    lam1 = spec.lambda_1
+    u2 = spec.vectors ** 2
+    # values[:2].min() is lambda_2, or lambda_1 itself when n = 1.
+    lo = np.full(g.n, spec.values[:2].min())
+    hi = np.full(g.n, lam1)
+    tol = 4.0 * np.finfo(float).eps * max(1.0, abs(lam1))
+    buf = np.empty_like(u2)
+    # Every bracket starts as [lambda_2, lambda_1] and all halve together,
+    # so while the widest exceeds tol each spans at least two ulps: mid lies
+    # strictly inside, never on a pole lambda_j.
+    while (hi - lo).max() > tol:
+        mid = 0.5 * (lo + hi)
+        np.subtract(spec.values, mid[:, None], out=buf)
+        np.divide(u2, buf, out=buf)
+        above = buf.sum(axis=1) > 0.0  # f_i(mid) > 0: the zero lies below mid
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    mu = 0.5 * (lo + hi)
+    return Ranking.from_scores(Strategy.DYNAMICAL_IMPORTANCE, lam1 - np.maximum(mu, 0.0))
 
 
 def estrada_ranking(g: Graph) -> Ranking:

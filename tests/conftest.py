@@ -1,6 +1,7 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from netimmune import Graph
 
@@ -54,3 +55,17 @@ def random_connected_graph(n: int, seed: int) -> Graph:
         nxg = nx.gnp_random_graph(n, p, seed=int(rng.integers(2**31)))
         if n == 1 or nx.is_connected(nxg):
             return Graph(n, list(nxg.edges()))
+
+
+def disjoint_copies(g: Graph) -> Graph:
+    """Two disjoint copies of g: every eigenvalue of g, lambda_1 included, doubles."""
+    return Graph(2 * g.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in g.edges])
+
+
+@st.composite
+def gnp_graphs(draw, max_n=12):
+    """Hypothesis strategy: any graph on 1..max_n nodes, each pair an edge or not."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, k in zip(pairs, keep) if k])

@@ -7,7 +7,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from netimmune import BudgetSpec, ExperimentConfig, Strategy
+from netimmune import BudgetSpec, ExperimentConfig, Strategy, strategies
 from netimmune.cli import main
 from netimmune.harness import (
     default_seeds,
@@ -72,6 +72,16 @@ class TestRankCommand:
     def test_directory_graph_exits_3(self, tmp_path, capsys):
         assert main(["rank", "--graph", str(tmp_path), "--strategy", "degree"]) == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError("Eigenvalues did not converge"),
+                                       FloatingPointError("overflow encountered in matmul")])
+    def test_numeric_failure_exits_3(self, p3_file, capsys, monkeypatch, error):
+        def fail(g):
+            raise error
+
+        monkeypatch.setattr(strategies, "dynamical_importance_ranking", fail)
+        assert main(["rank", "--graph", p3_file, "--strategy", "dynamical-importance"]) == 3
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_av11_high_power_dense_graph(self, tmp_path, capsys):
         # (Z A Z + d I)^256 overflows float64 on G(200, 0.5) unless rescaled.

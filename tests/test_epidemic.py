@@ -23,7 +23,7 @@ from netimmune import (
 from netimmune import epidemic
 from netimmune.epidemic import _CALIBRATION_STREAM, _log_survival_matrix
 
-from conftest import random_graph
+from conftest import gnp_graphs, random_graph
 
 
 def constant_rates(g, beta, delta):
@@ -106,10 +106,7 @@ class TestModifiedMatrix:
 
 @st.composite
 def graphs_with_rates(draw):
-    n = draw(st.integers(1, 9))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph(n, [p for p, k in zip(pairs, keep) if k])
+    g = draw(gnp_graphs(max_n=9))
     unit = st.floats(0.0, 1.0)
     beta_range = sorted((draw(unit), draw(unit)))
     delta_range = sorted((draw(unit), draw(unit)))
@@ -139,6 +136,20 @@ class TestDenseRatesMatchDictLoop:
         m_ref, log_s_ref = dict_loop_matrices(g, r)
         assert np.array_equal(modified_matrix(g, r).matrix, m_ref)
         assert np.array_equal(_log_survival_matrix(g, r), log_s_ref)
+
+
+class TestIterationProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_rates(), st.data())
+    def test_exact_stays_in_unit_interval_and_linear_dominates(self, case, data):
+        g, r = case
+        m = modified_matrix(g, r)
+        p0 = data.draw(st.lists(st.floats(0.0, 1.0), min_size=g.n, max_size=g.n))
+        steps = data.draw(st.integers(1, 12))
+        exact = exact_probability_iteration(m, p0, steps)
+        linear = linear_iteration(m, p0, steps)
+        assert (exact >= 0).all() and (exact <= 1).all()
+        assert (exact <= linear + 1e-12).all()
 
 
 def reference_sis_trials(g, r, seeds, immunized, steps, trials, master_seed, stream=()):

@@ -2,6 +2,8 @@ import json
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netimmune import (
     BudgetSpec,
@@ -16,7 +18,7 @@ from netimmune import (
     serialize_graph,
 )
 
-from conftest import random_graph
+from conftest import gnp_graphs, random_graph
 
 
 class TestLoadGraph:
@@ -128,6 +130,18 @@ class TestGraphInvariants:
         g = Graph(2, [(0, 1)], labels=["a", "b"])
         with pytest.raises(ValueError):
             serialize_graph(g, "edgelist")
+
+    @settings(max_examples=200, deadline=None)
+    @given(gnp_graphs(max_n=15), st.data())
+    def test_roundtrip_property(self, g, data):
+        labels = data.draw(st.none() | st.lists(st.text(), min_size=g.n, max_size=g.n))
+        labeled = Graph(g.n, g.edges, labels=labels)
+        again = load_graph(serialize_graph(labeled, "json"), "json")
+        assert (again.n, again.edges, again.labels) == (g.n, g.edges, labeled.labels)
+        # Edge lists carry neither labels nor isolated nodes.
+        if all(g.degree(i) > 0 for i in range(g.n)):
+            again = load_graph(serialize_graph(g, "edgelist"), "edgelist")
+            assert (again.n, again.edges, again.labels) == (g.n, g.edges, None)
 
 
 class TestIEEE118:

@@ -21,7 +21,7 @@ from netimmune import (
 from netimmune import oracle
 from netimmune.oracle import write_enumeration_csv
 
-from conftest import random_graph, star_graph
+from conftest import disjoint_copies, gnp_graphs, random_graph, star_graph
 
 
 def lam1(matrix):
@@ -45,18 +45,6 @@ def tie_rule(table, tol=1e-9):
     """The lexicographically smallest (subset, residual) within tol of the minimum."""
     least = min(lam for _, lam in table)
     return next((s, lam) for s, lam in table if lam <= least + tol)
-
-
-def disjoint_copies(g):
-    return Graph(2 * g.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in g.edges])
-
-
-@st.composite
-def gnp_graphs(draw, max_n=12):
-    n = draw(st.integers(1, max_n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [p for p, k in zip(pairs, keep) if k])
 
 
 # G(n, p) graphs plus families where many subsets tie or lambda_1 is

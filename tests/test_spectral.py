@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netimmune import (
     Graph,
+    Ranking,
+    Strategy,
     av11_ranking,
     av11_select,
     diagonal_shift,
     dynamical_importance_ranking,
     estrada_ranking,
+    ieee118_graph,
     masked_adjacency,
     separation_lower_bound,
     spectrum,
@@ -18,11 +23,30 @@ from netimmune import (
 )
 from netimmune.spectral import _matrix_power
 
-from conftest import random_graph
+from conftest import disjoint_copies, gnp_graphs, random_graph, star_graph
 
 
 def lam1(matrix):
     return float(np.linalg.eigvalsh(matrix)[-1])
+
+
+def reference_dynamical_importance(g):
+    """Reference: one masked copy and one full eigvalsh per node."""
+    top = lam1(g.adjacency_matrix())
+    return np.array([top - lam1(masked_adjacency(g, [i])) for i in range(g.n)])
+
+
+# G(n, p) plus families with degenerate lambda_1 (disjoint copies), with many
+# symmetric nodes (stars, complete graphs) or with no edges at all.
+di_graphs = st.one_of(
+    gnp_graphs(max_n=30),
+    st.integers(1, 30).map(lambda n: Graph(n, [])),
+    gnp_graphs(max_n=15).map(disjoint_copies),
+    st.integers(1, 29).map(star_graph),
+    st.integers(1, 30).map(lambda n: Graph(n, [(i, j) for i in range(n)
+                                               for j in range(i + 1, n)])),
+    st.sampled_from([Graph(1, []), Graph(2, []), Graph(2, [(0, 1)])]),
+)
 
 
 class TestSpectrum:
@@ -147,6 +171,32 @@ class TestDynamicalImportance:
 
     def test_empty_graph_zero(self):
         assert dynamical_importance_ranking(Graph(3, [])).scores == pytest.approx([0.0] * 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(di_graphs)
+    def test_equals_per_node_eigensolves(self, g):
+        with np.errstate(divide="raise", invalid="raise"):  # no bisection step hits a pole
+            r = dynamical_importance_ranking(g)
+        ref = reference_dynamical_importance(g)
+        tol = 1e-10 * max(1.0, lam1(g.adjacency_matrix()))
+        scores = np.array(r.scores)
+        assert np.abs(scores - ref).max() <= tol
+        # Wherever the reference separates two nodes, the ranking agrees.
+        position = np.empty(g.n, dtype=int)
+        position[list(r.order)] = np.arange(g.n)
+        separated = ref[:, None] > ref[None, :] + tol
+        assert (position[:, None] < position[None, :])[separated].all()
+
+    def test_ieee118_pinned(self):
+        g = ieee118_graph()
+        r = dynamical_importance_ranking(g)
+        ref = Ranking.from_scores(Strategy.DYNAMICAL_IMPORTANCE,
+                                  reference_dynamical_importance(g))
+        assert r.order[:40] == ref.order[:40]
+        # Leaves 110 and 111 are symmetric: their scores are bit-equal, so the
+        # id tie-break puts 110 first (per-node eigensolves differ by 1e-15).
+        assert r.scores[110] == r.scores[111]
+        assert r.order.index(110) == r.order.index(111) - 1
 
 
 class TestEstrada:
