@@ -19,6 +19,7 @@ from .epidemic import (
     build_rates,
     modified_matrix,
     simulate_sis,
+    threshold_bracket,
     threshold_lambda,
 )
 from .graph import GraphFormatError, Strategy
@@ -105,9 +106,12 @@ def cmd_compare(args) -> int:
 def cmd_threshold(args) -> int:
     g = resolve_graph(args.graph, args.fmt, args.relabel)
     rates = build_rates(g, args.beta_range, args.delta_range, rate_seed_for(args.seed))
-    lam_m, spreads = threshold_lambda(modified_matrix(g, rates))
+    m = modified_matrix(g, rates)
+    lam_m, spreads = threshold_lambda(m)
+    lo, hi = threshold_bracket(m)
     lam_1 = spectrum(g).lambda_1
     print(f"lambda_M = {lam_m:.6f} ({'above' if spreads else 'below'} threshold)")
+    print(f"lambda_M in [{lo!r}, {hi!r}]")
     print(f"spreads = {spreads}")
     print(f"lambda_1(A) = {lam_1:.6f}")
     return 0

@@ -27,6 +27,17 @@ _CHUNK_BYTES = 1 << 20
 _DRAW_BYTES = 1 << 19
 _STATE_BYTES = 40
 
+# Perron-root bracket: relative width of a closed bracket, power steps
+# before the first solve (a dense matvec costs about 1/80 of a solve at n =
+# 1000, and BA(1000, 3) closes on power steps alone), solves before a
+# component falls back to eigvals (chains of 1000 nodes with random rates
+# need about 20: their Perron vectors decay to 1e-190), and sigma's
+# relative offset above hi, which keeps sigma I - M nonsingular.
+_RTOL = 1e-12
+_POWER_STEPS = 128
+_MAX_SOLVES = 24
+_SHIFT = 2.0 ** -40
+
 
 @dataclass(frozen=True)
 class RateModel:
@@ -34,7 +45,9 @@ class RateModel:
 
     ``beta`` maps each directed pair (receiver, source) whose unordered pair
     is a graph edge; the two directions may differ. Ranges and seed are kept
-    so the model can be regenerated bit-identically.
+    so the model can be regenerated bit-identically; a model rescaled by
+    ``scale_rates_to_threshold`` carries its scaled beta range, so
+    ``build_rates`` regenerates it only to rounding.
     """
 
     beta: dict[tuple[int, int], float]
@@ -140,16 +153,146 @@ def modified_matrix(g: Graph, r: RateModel) -> ModifiedMatrix:
     return ModifiedMatrix(matrix=m)
 
 
+def _components(matrix: np.ndarray) -> list[np.ndarray]:
+    """Sorted node indices of each connected component of the off-diagonal
+    pattern of M + M^T, by breadth-first search over boolean rows."""
+    linked = matrix > 0
+    linked |= linked.T
+    unseen = np.ones(matrix.shape[0], dtype=bool)
+    components = []
+    for start in range(matrix.shape[0]):
+        if not unseen[start]:
+            continue
+        unseen[start] = False
+        levels = [np.array([start])]
+        while levels[-1].size:
+            levels.append(np.flatnonzero(linked[levels[-1]].any(axis=0) & unseen))
+            unseen[levels[-1]] = False
+        components.append(np.sort(np.concatenate(levels)))
+    return components
+
+
+def _normalized(v: np.ndarray) -> np.ndarray | None:
+    """v scaled to a largest entry of 1, or None unless every entry stays finite and > 0."""
+    if np.isfinite(v).all() and (v > 0).all():
+        v = v / v.max()
+        if (v > 0).all():
+            return v
+    return None
+
+
+def _block_bracket(block: np.ndarray, x: np.ndarray | None, target: float,
+                   rtol: float) -> tuple[float, float, np.ndarray]:
+    """Collatz-Wielandt bracket (lo, hi, x) of the Perron root of one connected block.
+
+    Power steps on block + I (the shift keeps x positive and damps the
+    -rho of a periodic block), then Noda's shifted inverse iteration with
+    sigma just above hi, where (sigma I - block)^-1 is nonnegative. Stops
+    once hi - lo <= rtol * hi with ``target`` outside (lo, hi]; refinement
+    that stalls or runs out of solves keeps the bracket only if it is
+    within _RTOL, else the block's eigvals decide (lo = hi).
+    """
+    s = block.shape[0]
+    lo, hi = 0.0, np.inf
+
+    def narrow(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+        ratio = y / x
+        return max(lo, float(ratio.min())), min(hi, float(ratio.max()))
+
+    def done() -> bool:
+        return hi - lo <= rtol * hi and not lo < target <= hi
+
+    if x is not None:
+        x = _normalized(x)
+    if x is None:
+        x = np.ones(s)
+    for _ in range(_POWER_STEPS):
+        y = block @ x
+        lo, hi = narrow(x, y)
+        if done():
+            return lo, hi, x
+        y = _normalized(y + x)
+        if y is None:
+            break
+        x = y
+    shifted = np.empty_like(block)
+    for _ in range(_MAX_SOLVES):
+        np.negative(block, out=shifted)
+        shifted.flat[::s + 1] += hi + _SHIFT * hi
+        try:
+            y = _normalized(np.linalg.solve(shifted, x))
+        except np.linalg.LinAlgError:
+            break
+        if y is None:
+            break
+        x, width = y, hi - lo
+        lo, hi = narrow(x, block @ x)
+        if done() or hi - lo >= width:
+            break
+    if done() or hi - lo <= _RTOL * hi:
+        return lo, hi, x
+    rho = float(np.abs(np.linalg.eigvals(block)).max())
+    return rho, rho, x
+
+
+def _perron_bracket(matrix: np.ndarray, target: float, x0: np.ndarray | None = None,
+                    rtol: float = _RTOL) -> tuple[float, float, np.ndarray]:
+    """Certified lo <= rho(matrix) <= hi for a nonnegative matrix, and the positive x behind it.
+
+    Collatz-Wielandt: for any positive x, min_i (Mx)_i / x_i <= rho(M) <=
+    max_i (Mx)_i / x_i. rho is the largest over the connected components of
+    the off-diagonal pattern of M + M^T, so the bracket is [max lo_c, max
+    hi_c]; a single node contributes its diagonal entry exactly. Each
+    component refines until its relative width is at most ``rtol`` (1 asks
+    for no width) and ``target`` lies outside (lo, hi], so the midpoint
+    tells which side of ``target`` rho lies. A component whose bracket
+    cannot close takes lo = hi = its ``eigvals`` spectral radius instead: a
+    reducible block whose Perron vector has zeros (a beta of 0 in one
+    direction), or one whose Perron vector decays faster than _MAX_SOLVES
+    solves resolve. ``x0``, a previous call's x, warm-starts the iteration.
+    """
+    n = matrix.shape[0]
+    x = np.ones(n)
+    lo = hi = 0.0
+    for idx in _components(matrix):
+        if idx.size == 1:
+            c_lo = c_hi = float(matrix[idx[0], idx[0]])
+        else:
+            block = matrix if idx.size == n else matrix[np.ix_(idx, idx)]
+            start = None if x0 is None else x0[idx]
+            c_lo, c_hi, x[idx] = _block_bracket(block, start, target, rtol)
+        lo, hi = max(lo, c_lo), max(hi, c_hi)
+    return lo, hi, x
+
+
+def threshold_bracket(m: ModifiedMatrix) -> tuple[float, float]:
+    """Certified bracket lo <= lambda_M <= hi behind ``threshold_lambda``.
+
+    Relative width at most 1e-12, refined further while 1 lies inside it.
+    """
+    lo, hi, _ = _perron_bracket(m.matrix, 1.0)
+    return lo, hi
+
+
 def threshold_lambda(m: ModifiedMatrix) -> tuple[float, bool]:
     """Spectral threshold diagnostic: (lambda_M, spreads flag).
 
-    lambda_M is the largest-modulus eigenvalue (real, the matrix being
-    non-negative); spreading can only be sustained when it is >= 1. This is
-    a diagnostic, never a gate inside the simulator: below 1 the infection
-    provably dies out, above 1 nothing quantitative is implied.
+    lambda_M is the Perron root rho(M), the largest-modulus eigenvalue (real,
+    the matrix being non-negative); spreading can only be sustained when it
+    is >= 1. It is the midpoint of a Collatz-Wielandt bracket lo <= rho <= hi
+    of relative width at most 1e-12 (``threshold_bracket``): the maximum over
+    the connected components of the matrix's pattern, a single node giving
+    1 - delta_i exactly, and ``np.linalg.eigvals`` deciding a component
+    whose bracket cannot close (a reducible one, where a beta is 0 in one
+    direction, or a long chain whose Perron vector decays below 1e-190).
+    While 1 lies inside the bracket it is refined further, and at the
+    rounding floor the midpoint decides, so ``spreads`` is always
+    ``lambda_M >= 1``. This is a diagnostic, never a gate inside the
+    simulator: below 1 the infection provably dies out, above 1 nothing
+    quantitative is implied.
     """
-    lam = np.linalg.eigvals(m.matrix)
-    lam_m = float(np.max(np.abs(lam)))
+    lo, hi = threshold_bracket(m)
+    lam_m = 0.5 * (lo + hi)
     return lam_m, lam_m >= 1.0
 
 
@@ -413,25 +556,34 @@ def scale_rates_to_threshold(g: Graph, r: RateModel, target: float,
     """Rescale all betas by a common factor so lambda_M hits ``target``.
 
     The Perron root grows monotonically with the scale, so bisection
-    converges; deltas are untouched. Raises if the target is unreachable
-    with every beta kept within [0, 1].
+    converges; deltas are untouched. Each step asks only whether lambda_M
+    is below ``target``, from a Perron bracket warm-started at the previous
+    step's vector and refined until ``target`` lies outside it. The result
+    keeps ``delta_range`` and ``seed``; ``beta_range`` is scaled too (its
+    upper end may pass 1 when no drawn beta reached the input's). Raises if
+    the target is unreachable with every beta kept within [0, 1].
     """
     beta, delta = _rate_arrays(g, r)
     if not beta.any():
         raise ValueError("every beta is 0 (or the graph has no edges); "
                          "lambda_M cannot be scaled via beta")
+    m = np.empty_like(beta)
+    x = None
 
-    def lam(scale: float) -> float:
-        m = beta * scale
+    def lam(scale: float, rtol: float = 1.0) -> float:
+        """lambda_M at ``scale``; rtol = 1 refines only until target leaves the bracket."""
+        nonlocal x
+        np.multiply(beta, scale, out=m)
         np.fill_diagonal(m, 1.0 - delta)
-        return float(np.max(np.abs(np.linalg.eigvals(m))))
+        lo, hi, x = _perron_bracket(m, target, x, rtol)
+        return 0.5 * (lo + hi)
 
     if lam(0.0) > target:
         raise ValueError(f"target {target} is below max(1 - delta) = {lam(0.0):.6f}")
     hi = 1.0 / beta.max()
     if lam(hi) < target:
         raise ValueError(f"target {target} unreachable with beta <= 1 "
-                         f"(max lambda_M = {lam(hi):.6f})")
+                         f"(max lambda_M = {lam(hi, _RTOL):.6f})")
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -440,5 +592,7 @@ def scale_rates_to_threshold(g: Graph, r: RateModel, target: float,
         else:
             hi = mid
     scale = 0.5 * (lo + hi)
+    beta_range = None if r.beta_range is None else tuple(b * scale for b in r.beta_range)
     return RateModel(beta={k: v * scale for k, v in r.beta.items()},
-                     delta=dict(r.delta))
+                     delta=dict(r.delta), beta_range=beta_range,
+                     delta_range=r.delta_range, seed=r.seed)

@@ -7,11 +7,20 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from netimmune import BudgetSpec, ExperimentConfig, Strategy, strategies
+from netimmune import (
+    BudgetSpec,
+    ExperimentConfig,
+    Strategy,
+    build_rates,
+    modified_matrix,
+    strategies,
+)
 from netimmune.cli import main
 from netimmune.harness import (
     default_seeds,
     immunization_set,
+    rate_seed_for,
+    resolve_graph,
     run_compare,
     write_table_csv,
 )
@@ -109,6 +118,24 @@ class TestThresholdCommand:
         assert main(["threshold", "--graph", str(path), "--beta-range", "0.5", "0.5",
                      "--delta-range", "0.95", "0.95"]) == 0
         assert "below threshold" in capsys.readouterr().out
+
+
+class TestThresholdBracket:
+    def test_disconnected_bracket_holds_eigvals(self, tmp_path, capsys):
+        # Two K2 components, each with its own drawn rates.
+        path = tmp_path / "two_k2.edges"
+        path.write_text("0 1\n2 3\n")
+        args = ["--beta-range", "0.1", "0.9", "--delta-range", "0.2", "0.5", "--seed", "7"]
+        assert main(["threshold", "--graph", str(path)] + args) == 0
+        line = next(s for s in capsys.readouterr().out.splitlines()
+                    if s.startswith("lambda_M in ["))
+        lo, hi = (float(v) for v in line[len("lambda_M in ["):-1].split(", "))
+        g = resolve_graph(str(path))
+        rates = build_rates(g, (0.1, 0.9), (0.2, 0.5), rate_seed_for(7))
+        assert len(set(rates.beta.values())) == 4
+        rho = float(np.abs(np.linalg.eigvals(modified_matrix(g, rates).matrix)).max())
+        assert lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12)
+        assert hi - lo <= 1e-12 * hi
 
 
 class TestOracleCommand:

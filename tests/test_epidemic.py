@@ -3,7 +3,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netimmune import (
@@ -18,12 +18,13 @@ from netimmune import (
     scale_rates_to_threshold,
     simulate_sis,
     simulate_sis_paired,
+    threshold_bracket,
     threshold_lambda,
 )
 from netimmune import epidemic
 from netimmune.epidemic import _CALIBRATION_STREAM, _log_survival_matrix
 
-from conftest import gnp_graphs, random_graph
+from conftest import disjoint_copies, gnp_graphs, random_graph, star_graph
 
 
 def constant_rates(g, beta, delta):
@@ -300,6 +301,116 @@ class TestThreshold:
         assert not spreads
 
 
+@st.composite
+def spreading_cases(draw, scalable=False):
+    """A graph and per-direction rates for the Perron bracket.
+
+    Graphs: G(n, p) (disconnected ones and isolated nodes included, n = 1
+    too), two disjoint copies of one, stars and paths (bipartite, so M is
+    periodic at delta = 1). Rates: a beta in [1e-3, 1] per direction, beta
+    = 0 in one direction of some edges (M reducible), or every beta 0
+    (``scalable`` leaves that case out); any delta per node, or every delta
+    1. Positive betas stay at least 1e-3 because the eigvals reference
+    itself loses digits on nearly reducible blocks: with a beta of 3e-14
+    beside entries of 1 it missed rho by 2.6e-12 relative where a
+    400-digit eigensolve agreed with the bracket to every digit.
+    """
+    shape = draw(st.sampled_from(["gnp", "copies", "star", "path"]))
+    if shape == "gnp":
+        g = draw(gnp_graphs(max_n=9))
+    elif shape == "copies":
+        g = disjoint_copies(draw(gnp_graphs(max_n=5)))
+    else:
+        n = draw(st.integers(1, 9))
+        g = star_graph(n - 1) if shape == "star" else Graph(n, [(i, i + 1) for i in range(n - 1)])
+    betas = draw(st.sampled_from(["free", "one-way"] + ([] if scalable else ["zero"])))
+    rate = st.floats(1e-3, 1.0)
+    beta = {}
+    for u, v in sorted(g.edges):
+        beta[(u, v)], beta[(v, u)] = draw(rate), draw(rate)
+        if betas == "one-way" and draw(st.booleans()):
+            beta[draw(st.sampled_from([(u, v), (v, u)]))] = 0.0
+        elif betas == "zero":
+            beta[(u, v)] = beta[(v, u)] = 0.0
+    if draw(st.booleans()):
+        delta = {i: 1.0 for i in range(g.n)}
+    else:
+        delta = {i: draw(st.floats(0.0, 1.0)) for i in range(g.n)}
+    return g, RateModel(beta=beta, delta=delta)
+
+
+def eigvals_rho(matrix):
+    return float(np.abs(np.linalg.eigvals(matrix)).max())
+
+
+class TestPerronBracket:
+    @settings(max_examples=400, deadline=None)
+    @given(spreading_cases())
+    def test_bracket_holds_eigvals(self, case):
+        m = modified_matrix(*case)
+        rho = eigvals_rho(m.matrix)
+        lo, hi = threshold_bracket(m)
+        lam_m, spreads = threshold_lambda(m)
+        assert lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12)
+        assert abs(lam_m - rho) <= 1e-12 * rho
+        assert spreads == (lam_m >= 1.0)
+        if abs(rho - 1.0) > 1e-12:
+            assert spreads == (rho >= 1.0)
+
+    def test_reducible_block_falls_back_to_eigvals(self, k2, monkeypatch):
+        # Node 0 hears node 1 but not the reverse, and persists longer: the
+        # Perron vector (1, 0) is not positive, so no bracket closes.
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+        m = modified_matrix(k2, RateModel(beta={(0, 1): 0.5, (1, 0): 0.0},
+                                          delta={0: 0.1, 1: 0.5}))
+        assert threshold_bracket(m) == (0.9, 0.9)
+        assert len(calls) == 1
+
+    def test_irreducible_graphs_need_no_eigvals(self, monkeypatch):
+        from netimmune import ieee118_graph
+
+        def fail(a):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        g = ieee118_graph()
+        for delta_range in ((0.2, 0.5), (1.0, 1.0)):
+            m = modified_matrix(g, build_rates(g, (0.1, 0.4), delta_range, seed=3))
+            lo, hi = threshold_bracket(m)
+            assert 0 < hi - lo <= 1e-12 * hi
+
+    def test_rounding_floor_decides_by_midpoint(self, monkeypatch):
+        # delta_i = sum_j beta_ij makes every row of M sum to 1, so rho = 1;
+        # the rounded row sums leave 1 inside a bracket one ulp wide, which
+        # no solve can narrow: refinement stops at the first stalled solve.
+        rng = np.random.default_rng(0)
+        g = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
+        beta = {}
+        for u, v in g.edges:
+            beta[(u, v)], beta[(v, u)] = rng.uniform(0.05, 0.3), rng.uniform(0.05, 0.3)
+        delta = {i: sum(b for (r, _), b in beta.items() if r == i) for i in range(g.n)}
+        m = modified_matrix(g, RateModel(beta=beta, delta=delta))
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+        lo, hi = threshold_bracket(m)
+        assert lo < 1.0 <= hi and hi - lo <= 1e-15
+        assert len(solves) == 1
+        lam_m, spreads = threshold_lambda(m)
+        assert lam_m == 0.5 * (lo + hi) and spreads == (lam_m >= 1.0)
+
+    def test_warm_start_keeps_the_bracket(self):
+        g = random_graph(30, 0.15, 2)
+        m = modified_matrix(g, build_rates(g, (0.1, 0.4), (0.2, 0.5), seed=5)).matrix
+        lo, hi, x = epidemic._perron_bracket(m, 1.0)
+        assert (x > 0).all()
+        assert lo * (1 - 1e-12) <= eigvals_rho(m) <= hi * (1 + 1e-12)
+        lo, hi, _ = epidemic._perron_bracket(m * 0.999, 1.0, x)
+        assert lo * (1 - 1e-12) <= eigvals_rho(m * 0.999) <= hi * (1 + 1e-12)
+
+
 class TestIterations:
     def test_linear_identity_fixed_point(self, k2):
         m = modified_matrix(k2, constant_rates(k2, 0.0, 0.0))
@@ -478,6 +589,41 @@ class TestScaleRates:
         base = build_rates(p3, (0, 0), (0.5, 0.5), seed=1)
         with pytest.raises(ValueError, match="every beta is 0"):
             scale_rates_to_threshold(p3, base, 0.6)
+
+
+class TestScaleRatesBracket:
+    @settings(max_examples=100, deadline=None)
+    @given(spreading_cases(scalable=True), st.floats(0.05, 0.95))
+    def test_scaled_eigvals_hits_target(self, case, where):
+        g, r = case
+        assume(g.edges)
+        floor = max(1.0 - d for d in r.delta.values())
+        top = max(r.beta.values())
+        full = RateModel(beta={k: v / top for k, v in r.beta.items()}, delta=r.delta)
+        ceiling = eigvals_rho(modified_matrix(g, full).matrix)
+        assume(ceiling - floor > 1e-6)
+        target = floor + where * (ceiling - floor)
+        scaled = scale_rates_to_threshold(g, r, target)
+        assert abs(eigvals_rho(modified_matrix(g, scaled).matrix) - target) <= 1e-9
+
+    def test_keeps_provenance(self):
+        g = random_graph(20, 0.3, 1)
+        base = build_rates(g, (0.1, 0.4), (0.4, 0.6), seed=2)
+        scaled = scale_rates_to_threshold(g, base, 0.7)
+        edge = min(g.edges)
+        scale = scaled.beta[edge] / base.beta[edge]
+        assert scaled.delta_range == base.delta_range and scaled.seed == base.seed
+        assert scaled.beta_range == pytest.approx((0.1 * scale, 0.4 * scale), rel=1e-15)
+        # The ranges regenerate the rescaled model, to rounding.
+        again = build_rates(g, scaled.beta_range, scaled.delta_range, scaled.seed)
+        assert again.delta == scaled.delta
+        for k, v in scaled.beta.items():
+            assert again.beta[k] == pytest.approx(v, rel=1e-12)
+
+    def test_missing_provenance_stays_missing(self, k2):
+        base = RateModel(beta={(0, 1): 0.3, (1, 0): 0.2}, delta={0: 0.5, 1: 0.5})
+        scaled = scale_rates_to_threshold(k2, base, 0.6)
+        assert (scaled.beta_range, scaled.delta_range, scaled.seed) == (None, None, None)
 
 
 class TestThresholdConsistency:
