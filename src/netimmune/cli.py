@@ -37,6 +37,7 @@ from .spectral import DEFAULT_POWER, spectrum
 from .strategies import compute_ranking
 
 _STRATEGY_NAMES = [s.value for s in Strategy]
+_POWER_HELP = f"even power p of AV11's (Z A Z + d I)^p (default {DEFAULT_POWER})"
 
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="rank nodes by one strategy")
     _add_graph_args(p)
     p.add_argument("--strategy", required=True, choices=_STRATEGY_NAMES)
-    p.add_argument("--power", type=int, default=DEFAULT_POWER)
+    p.add_argument("--power", type=int, default=DEFAULT_POWER, help=_POWER_HELP)
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p.add_argument("--output", default=None, help="write instead of stdout")
     _add_rate_args(p)
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, dest="master_seed",
                    help="master RNG seed")
-    p.add_argument("--power", type=int, default=None)
+    p.add_argument("--power", type=int, default=None, help=_POWER_HELP)
     p.add_argument("--seeds", nargs="+", type=int, default=None,
                    help="initial infected nodes (excluded from immunization)")
     p.add_argument("--output-csv", default=None)
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact optimal removal vs the greedy selection")
     _add_graph_args(p)
     p.add_argument("-k", type=int, required=True, help="number of nodes to remove")
-    p.add_argument("--power", type=int, default=DEFAULT_POWER)
+    p.add_argument("--power", type=int, default=DEFAULT_POWER, help=_POWER_HELP)
     p.add_argument("--table", default=None, help="write the full enumeration table as CSV")
     p.set_defaults(func=cmd_oracle)
 

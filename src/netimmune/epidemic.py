@@ -390,10 +390,6 @@ def _log_survival(beta: np.ndarray) -> np.ndarray:
     return log_s
 
 
-def _log_survival_matrix(g: Graph, r: RateModel) -> np.ndarray:
-    return _log_survival(_rate_arrays(g, r)[0])
-
-
 def _masks(n: int, seeds: Iterable[int], immunized: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
     seed_set, immune_set = set(seeds), set(immunized)
     for name, s in (("seed", seed_set), ("immunized", immune_set)):
@@ -587,6 +583,8 @@ def scale_rates_to_threshold(g: Graph, r: RateModel, target: float,
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: tol is below their spacing
+            break
         if lam(mid) < target:
             lo = mid
         else:

@@ -5,12 +5,13 @@ entry of (Z A Z + d I)^p, where Z zeroes the rows/columns of already-removed
 nodes and d = 1 + |lambda_min(A)|. The shift makes every masked matrix
 positive definite, so for even p the p-th root of the trace upper-bounds
 d + lambda_1 of the masked matrix: shrinking the large diagonal entries of
-the power drives the top eigenvalue down.
+the power drives the top eigenvalue down. Both the diagonal and the trace
+come from one symmetric eigendecomposition, with every eigenvalue of the
+shifted matrix divided by the largest before the power is taken.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -20,12 +21,8 @@ from .graph import BudgetSpec, Graph, Ranking, Strategy
 
 # Even power of the trace surrogate. Larger p tracks lambda_1 more tightly
 # (the l_p norm of the shifted spectrum falls toward its max entry); 64 keeps
-# hub-heavy graphs sharp while staying far from float overflow at desk scales.
+# hub-heavy graphs sharp, and any even p costs the same.
 DEFAULT_POWER = 64
-
-# A matrix power whose largest diagonal entry passes this value is scaled by
-# an exact power of two, so the product of two such matrices stays finite.
-_RESCALE_ABOVE = 2.0 ** 256
 
 
 @dataclass(frozen=True)
@@ -89,51 +86,13 @@ def _check_power(p: int) -> None:
         raise ValueError(f"power must be a positive even integer, got {p!r}")
 
 
-def _rescaled(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """Scale m in place by 2**-e and return (m, e), with e >= 0 chosen so the
-    largest diagonal entry ends in [2**127, 2**128) when it is above
-    _RESCALE_ABOVE, else e = 0. For a positive-definite m that entry is the
-    largest in the matrix."""
-    top = float(np.diagonal(m).max())
-    if top <= _RESCALE_ABOVE:
-        return m, 0
-    e = math.frexp(top)[1] - 128
-    return np.ldexp(m, -e, out=m), e
-
-
-def _matrix_power(m: np.ndarray, power: int) -> tuple[np.ndarray, int]:
-    """(P, e) with m**power = P * 2**e, for a positive-definite m and power >= 2.
-
-    Squares in ``np.linalg.matrix_power``'s order (bits of the power from
-    the least significant up, the running product on the left), and scales
-    by exact powers of two only, so wherever that function's result is
-    finite P equals it times 2**-e bit for bit, and here it never overflows.
-    """
-    z, z_exp = m, 0
-    result = None
-    while True:
-        power, bit = divmod(power, 2)
-        if bit:
-            if result is None:
-                result, exp = z, z_exp
-            else:
-                result, e = _rescaled(result @ z)
-                exp += z_exp + e
-        if power == 0:
-            return result, exp
-        z, e = _rescaled(z @ z)
-        z_exp = 2 * z_exp + e
-
-
-def _argmax_lowest_id(values: np.ndarray, active: np.ndarray) -> int:
+def _argmax_lowest_id(values: np.ndarray) -> int:
     # Symmetric nodes produce diagonal entries equal up to round-off; a
-    # relative tolerance keeps the id tie-break deterministic. The diagonal
-    # of an unscaled AV11 power is at least 1 (every eigenvalue of the
-    # shifted matrix is), so the tolerance is relative to the largest value.
-    vmax = values[active].max()
-    tol = 1e-9 * abs(vmax)
-    candidates = np.nonzero(active & (values >= vmax - tol))[0]
-    return int(candidates[0])
+    # relative tolerance keeps the id tie-break deterministic. The values
+    # share one positive scale and sum to at least 1, so the largest is the
+    # natural unit.
+    vmax = values.max()
+    return int(np.flatnonzero(values >= vmax - 1e-9 * vmax)[0])
 
 
 def av11_select(g: Graph, budget: BudgetSpec | int,
@@ -141,29 +100,30 @@ def av11_select(g: Graph, budget: BudgetSpec | int,
     """Greedy spectral budget selection.
 
     Returns the ordered removal list S (|S| = k) and lambda_1 of the masked
-    adjacency after the last removal. Each iteration recomputes
-    P = (Z A Z + d I)^p by repeated squaring and removes the still-active
-    node with the largest diagonal entry of P (ties -> lowest id). The
-    argmax skips already-removed nodes: their diagonal settles at d^p,
-    which would beat live nodes on sparse graphs and stall the selection.
+    adjacency after the last removal. Each iteration removes the
+    still-active node with the largest diagonal entry of (Z A Z + d I)^p
+    (ties -> lowest id). On the active nodes that matrix is (B + d I)^p for
+    the principal submatrix B = U diag(w) U^T of the nodes not yet removed,
+    so its diagonal is (U o U) @ (w + d)^p; dividing every term by
+    (w_max + d)^p keeps each factor in (0, 1], so no power overflows and
+    the cost does not depend on p. Removed nodes are outside B and never
+    candidates.
     """
     _check_power(power)
     k = budget.resolve(g.n) if isinstance(budget, BudgetSpec) else int(budget)
     if k < 0 or k > g.n:
         raise ValueError(f"budget {k} not in [0, {g.n}]")
     d = diagonal_shift(g)
-    masked = g.adjacency_matrix().copy()
-    shift = d * np.eye(g.n)
-    active = np.ones(g.n, dtype=bool)
+    a = g.adjacency_matrix()
+    active = np.arange(g.n)
     selected: list[int] = []
     for _ in range(k):
-        p_mat, _ = _matrix_power(masked + shift, power)
-        node = _argmax_lowest_id(np.diagonal(p_mat), active)
-        selected.append(node)
-        active[node] = False
-        masked[node, :] = 0.0
-        masked[:, node] = 0.0
-    return selected, _lambda_1(masked)
+        w, u = np.linalg.eigh(a[np.ix_(active, active)])
+        diag = (u * u) @ ((w + d) / (w[-1] + d)) ** power
+        pos = _argmax_lowest_id(diag)
+        selected.append(int(active[pos]))
+        active = np.delete(active, pos)
+    return selected, _lambda_1(masked_adjacency(g, selected))
 
 
 def av11_ranking(g: Graph, power: int = DEFAULT_POWER) -> Ranking:
@@ -237,9 +197,9 @@ def trace_power_bound(g: Graph, mask: Iterable[int],
     """
     _check_power(power)
     d = diagonal_shift(g)
-    masked = masked_adjacency(g, mask)
-    p_mat, exp = _matrix_power(masked + d * np.eye(g.n), power)
-    # trace^(1/p) with trace = tr(P) * 2**exp: the exponent's root is taken
-    # in log2 space, and is exactly 1 when nothing was rescaled.
-    bound = float(np.trace(p_mat)) ** (1.0 / power) * 2.0 ** (exp / power) - d
-    return bound, _lambda_1(masked)
+    w = np.linalg.eigvalsh(masked_adjacency(g, mask))
+    # trace = sum(s**p) for the shifted spectrum s >= 1; factoring out
+    # s_max**p keeps every term in (0, 1].
+    s = w + d
+    bound = float(s[-1] * np.sum((s / s[-1]) ** power) ** (1.0 / power)) - d
+    return bound, float(w[-1])

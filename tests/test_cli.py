@@ -93,7 +93,8 @@ class TestRankCommand:
         assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_av11_high_power_dense_graph(self, tmp_path, capsys):
-        # (Z A Z + d I)^256 overflows float64 on G(200, 0.5) unless rescaled.
+        # (Z A Z + d I)^256 on G(200, 0.5) is far past float64's range; the
+        # selection divides every eigenvalue by the largest before the power.
         nxg = nx.gnp_random_graph(200, 0.5, seed=1)
         path = tmp_path / "dense.edges"
         path.write_text("".join(f"{u} {v}\n" for u, v in nxg.edges()))

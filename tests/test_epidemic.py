@@ -22,7 +22,7 @@ from netimmune import (
     threshold_lambda,
 )
 from netimmune import epidemic
-from netimmune.epidemic import _CALIBRATION_STREAM, _log_survival_matrix
+from netimmune.epidemic import _CALIBRATION_STREAM, _log_survival, _rate_arrays
 
 from conftest import disjoint_copies, gnp_graphs, random_graph, star_graph
 
@@ -136,7 +136,7 @@ class TestDenseRatesMatchDictLoop:
         g, r = case
         m_ref, log_s_ref = dict_loop_matrices(g, r)
         assert np.array_equal(modified_matrix(g, r).matrix, m_ref)
-        assert np.array_equal(_log_survival_matrix(g, r), log_s_ref)
+        assert np.array_equal(_log_survival(_rate_arrays(g, r)[0]), log_s_ref)
 
 
 class TestIterationProperties:
@@ -159,7 +159,7 @@ def reference_sis_trials(g, r, seeds, immunized, steps, trials, master_seed, str
     Yields (per-step counts, final mask, per-node infected-step tally) per
     trial. ``seeds=None`` starts trial t at node t mod n.
     """
-    log_s = _log_survival_matrix(g, r)
+    log_s = _log_survival(_rate_arrays(g, r)[0])
     delta = np.array([r.delta[i] for i in range(g.n)])
     immune_mask = np.zeros(g.n, dtype=bool)
     immune_mask[list(immunized)] = True
@@ -619,6 +619,15 @@ class TestScaleRatesBracket:
         assert again.delta == scaled.delta
         for k, v in scaled.beta.items():
             assert again.beta[k] == pytest.approx(v, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [1e-7, 1e-200])
+    def test_scale_past_float_spacing_returns(self, k2, beta):
+        # The scale sought is 4e-1 / beta, where adjacent floats lie farther
+        # apart than tol, so the bisection must stop on float spacing.
+        base = RateModel(beta={(0, 1): beta, (1, 0): beta}, delta={0: 0.5, 1: 0.5})
+        scaled = scale_rates_to_threshold(k2, base, 0.9)
+        assert scaled.beta[(0, 1)] == pytest.approx(0.4, rel=1e-12)
+        assert eigvals_rho(modified_matrix(k2, scaled).matrix) == pytest.approx(0.9, abs=1e-12)
 
     def test_missing_provenance_stays_missing(self, k2):
         base = RateModel(beta={(0, 1): 0.3, (1, 0): 0.2}, delta={0: 0.5, 1: 0.5})
