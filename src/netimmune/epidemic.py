@@ -30,9 +30,9 @@ _STATE_BYTES = 40
 # Perron-root bracket: relative width of a closed bracket, power steps
 # before the first solve (a dense matvec costs about 1/80 of a solve at n =
 # 1000, and BA(1000, 3) closes on power steps alone), solves before a
-# component falls back to eigvals (chains of 1000 nodes with random rates
-# need about 20: their Perron vectors decay to 1e-190), and sigma's
-# relative offset above hi, which keeps sigma I - M nonsingular.
+# component is split or falls back to eigvals (chains of 1000 nodes with
+# random rates need about 20: their Perron vectors decay to 1e-190), and
+# sigma's relative offset above hi, which keeps sigma I - M nonsingular.
 _RTOL = 1e-12
 _POWER_STEPS = 128
 _MAX_SOLVES = 24
@@ -153,23 +153,46 @@ def modified_matrix(g: Graph, r: RateModel) -> ModifiedMatrix:
     return ModifiedMatrix(matrix=m)
 
 
+def _reachable(linked: np.ndarray, start: int) -> np.ndarray:
+    """Boolean mask of the nodes reachable from ``start`` along the rows of
+    ``linked``, by breadth-first search over boolean rows."""
+    seen = np.zeros(linked.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        frontier = np.flatnonzero(linked[frontier].any(axis=0) & ~seen)
+        seen[frontier] = True
+    return seen
+
+
 def _components(matrix: np.ndarray) -> list[np.ndarray]:
     """Sorted node indices of each connected component of the off-diagonal
-    pattern of M + M^T, by breadth-first search over boolean rows."""
+    pattern of M + M^T."""
     linked = matrix > 0
     linked |= linked.T
     unseen = np.ones(matrix.shape[0], dtype=bool)
     components = []
     for start in range(matrix.shape[0]):
-        if not unseen[start]:
-            continue
-        unseen[start] = False
-        levels = [np.array([start])]
-        while levels[-1].size:
-            levels.append(np.flatnonzero(linked[levels[-1]].any(axis=0) & unseen))
-            unseen[levels[-1]] = False
-        components.append(np.sort(np.concatenate(levels)))
+        if unseen[start]:
+            found = _reachable(linked, start)
+            unseen &= ~found
+            components.append(np.flatnonzero(found))
     return components
+
+
+def _strong_classes(matrix: np.ndarray) -> list[np.ndarray]:
+    """Sorted node indices of each strongly connected class of M's pattern:
+    the nodes both reachable from a pivot and reaching it."""
+    forward = matrix > 0
+    backward = np.ascontiguousarray(forward.T)
+    unseen = np.ones(matrix.shape[0], dtype=bool)
+    classes = []
+    for pivot in range(matrix.shape[0]):
+        if unseen[pivot]:
+            found = _reachable(forward, pivot) & _reachable(backward, pivot)
+            unseen &= ~found
+            classes.append(np.flatnonzero(found))
+    return classes
 
 
 def _normalized(v: np.ndarray) -> np.ndarray | None:
@@ -190,7 +213,12 @@ def _block_bracket(block: np.ndarray, x: np.ndarray | None, target: float,
     sigma just above hi, where (sigma I - block)^-1 is nonnegative. Stops
     once hi - lo <= rtol * hi with ``target`` outside (lo, hi]; refinement
     that stalls or runs out of solves keeps the bracket only if it is
-    within _RTOL, else the block's eigvals decide (lo = hi).
+    within _RTOL. Otherwise a reducible block (a beta of 0 in one direction
+    can leave its Perron vector with zeros) is split into its strongly
+    connected classes, whose largest Perron root is the block's, and each is
+    bracketed on its own; a strongly connected block that still cannot close
+    (a Perron vector that decays faster than _MAX_SOLVES solves resolve)
+    takes its eigvals spectral radius (lo = hi).
     """
     s = block.shape[0]
     lo, hi = 0.0, np.inf
@@ -231,8 +259,30 @@ def _block_bracket(block: np.ndarray, x: np.ndarray | None, target: float,
             break
     if done() or hi - lo <= _RTOL * hi:
         return lo, hi, x
+    classes = _strong_classes(block)
+    if len(classes) > 1:
+        return _max_bracket(block, classes, x, target, rtol)
     rho = float(np.abs(np.linalg.eigvals(block)).max())
     return rho, rho, x
+
+
+def _max_bracket(matrix: np.ndarray, parts: list[np.ndarray], x0: np.ndarray | None,
+                 target: float, rtol: float) -> tuple[float, float, np.ndarray]:
+    """[max lo_c, max hi_c] over the diagonal blocks matrix[parts[c]] that
+    partition ``matrix``, and the positive x assembled from theirs; a single
+    node contributes its diagonal entry exactly."""
+    n = matrix.shape[0]
+    x = np.ones(n)
+    lo = hi = 0.0
+    for idx in parts:
+        if idx.size == 1:
+            c_lo = c_hi = float(matrix[idx[0], idx[0]])
+        else:
+            block = matrix if idx.size == n else matrix[np.ix_(idx, idx)]
+            start = None if x0 is None else x0[idx]
+            c_lo, c_hi, x[idx] = _block_bracket(block, start, target, rtol)
+        lo, hi = max(lo, c_lo), max(hi, c_hi)
+    return lo, hi, x
 
 
 def _perron_bracket(matrix: np.ndarray, target: float, x0: np.ndarray | None = None,
@@ -245,24 +295,11 @@ def _perron_bracket(matrix: np.ndarray, target: float, x0: np.ndarray | None = N
     hi_c]; a single node contributes its diagonal entry exactly. Each
     component refines until its relative width is at most ``rtol`` (1 asks
     for no width) and ``target`` lies outside (lo, hi], so the midpoint
-    tells which side of ``target`` rho lies. A component whose bracket
-    cannot close takes lo = hi = its ``eigvals`` spectral radius instead: a
-    reducible block whose Perron vector has zeros (a beta of 0 in one
-    direction), or one whose Perron vector decays faster than _MAX_SOLVES
-    solves resolve. ``x0``, a previous call's x, warm-starts the iteration.
+    tells which side of ``target`` rho lies; ``_block_bracket`` says how a
+    component that cannot close is resolved. ``x0``, a previous call's x,
+    warm-starts the iteration.
     """
-    n = matrix.shape[0]
-    x = np.ones(n)
-    lo = hi = 0.0
-    for idx in _components(matrix):
-        if idx.size == 1:
-            c_lo = c_hi = float(matrix[idx[0], idx[0]])
-        else:
-            block = matrix if idx.size == n else matrix[np.ix_(idx, idx)]
-            start = None if x0 is None else x0[idx]
-            c_lo, c_hi, x[idx] = _block_bracket(block, start, target, rtol)
-        lo, hi = max(lo, c_lo), max(hi, c_hi)
-    return lo, hi, x
+    return _max_bracket(matrix, _components(matrix), x0, target, rtol)
 
 
 def threshold_bracket(m: ModifiedMatrix) -> tuple[float, float]:
@@ -282,9 +319,11 @@ def threshold_lambda(m: ModifiedMatrix) -> tuple[float, bool]:
     is >= 1. It is the midpoint of a Collatz-Wielandt bracket lo <= rho <= hi
     of relative width at most 1e-12 (``threshold_bracket``): the maximum over
     the connected components of the matrix's pattern, a single node giving
-    1 - delta_i exactly, and ``np.linalg.eigvals`` deciding a component
-    whose bracket cannot close (a reducible one, where a beta is 0 in one
-    direction, or a long chain whose Perron vector decays below 1e-190).
+    1 - delta_i exactly. A reducible component (a beta of 0 in one
+    direction) whose bracket cannot close is bracketed per strongly
+    connected class, and ``np.linalg.eigvals`` decides only a strongly
+    connected block that still cannot close (a long chain whose Perron
+    vector decays below 1e-190).
     While 1 lies inside the bracket it is refined further, and at the
     rounding floor the midpoint decides, so ``spreads`` is always
     ``lambda_M >= 1``. This is a diagnostic, never a gate inside the

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from collections import deque
 from itertools import combinations
+from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from netimmune import Graph, betweenness_ranking, closeness_ranking
 
-from conftest import random_graph
+from conftest import gnp_graphs, random_graph
 
 
 def bfs_distances(g, source):
@@ -129,3 +135,68 @@ class TestBetweenness:
                 if paths:
                     total += sum(len(p) - 2 for p in paths) / len(paths)
             assert sum(betweenness_ranking(g).scores) == pytest.approx(total, abs=1e-9)
+
+
+def grid_graph(side):
+    """side x side grid, node r * side + c at row r, column c."""
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    return Graph(side * side, edges)
+
+
+def grid_orbits(side):
+    """Orbits of the grid's nodes under its 8 symmetries (rotations and reflections)."""
+    m = side - 1
+    maps = [lambda r, c: (r, c), lambda r, c: (c, m - r), lambda r, c: (m - r, m - c),
+            lambda r, c: (m - c, r), lambda r, c: (r, m - c), lambda r, c: (m - r, c),
+            lambda r, c: (c, r), lambda r, c: (m - c, m - r)]
+    orbits = set()
+    for i in range(side * side):
+        images = (f(*divmod(i, side)) for f in maps)
+        orbits.add(tuple(sorted({r * side + c for r, c in images})))
+    return sorted(orbits)
+
+
+@pytest.mark.parametrize("ranker", [closeness_ranking, betweenness_ranking])
+def test_grid_symmetric_nodes_tie_in_id_order(ranker):
+    # Symmetric nodes must score bit-equal, so Ranking's id tie-break, not
+    # round-off in the last bits, decides their order.
+    r = ranker(grid_graph(6))
+    orbits = grid_orbits(6)
+    assert len(orbits) == 6
+    for orbit in orbits:
+        assert len({r.scores[i] for i in orbit}) == 1
+        positions = [r.order.index(i) for i in orbit]
+        assert positions == sorted(positions)
+
+
+def to_networkx(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    return nxg
+
+
+@settings(max_examples=200, deadline=None)
+@given(gnp_graphs())
+def test_closeness_equals_networkx_bit_for_bit(g):
+    expected = nx.closeness_centrality(to_networkx(g), wf_improved=False)
+    assert closeness_ranking(g).scores == tuple(expected[i] for i in range(g.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gnp_graphs())
+def test_betweenness_matches_networkx(g):
+    expected = nx.betweenness_centrality(to_networkx(g), normalized=False)
+    assert betweenness_ranking(g).scores == pytest.approx([expected[i] for i in range(g.n)],
+                                                          rel=1e-9)
+
+
+def test_networkx_is_not_imported_at_runtime():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, netimmune, netimmune.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -357,16 +357,29 @@ class TestPerronBracket:
         if abs(rho - 1.0) > 1e-12:
             assert spreads == (rho >= 1.0)
 
-    def test_reducible_block_falls_back_to_eigvals(self, k2, monkeypatch):
+    def test_reducible_block_splits_into_strong_classes(self, k2, monkeypatch):
         # Node 0 hears node 1 but not the reverse, and persists longer: the
-        # Perron vector (1, 0) is not positive, so no bracket closes.
-        calls = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+        # Perron vector (1, 0) is not positive, so no bracket of the whole
+        # block closes; its classes {0} and {1} give their diagonals exactly.
+        def fail(a):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
         m = modified_matrix(k2, RateModel(beta={(0, 1): 0.5, (1, 0): 0.0},
                                           delta={0: 0.1, 1: 0.5}))
         assert threshold_bracket(m) == (0.9, 0.9)
-        assert len(calls) == 1
+
+    def test_defective_perron_root_is_exact(self):
+        # Path 0-1-2-3 where 1 never hears 2: the classes {0, 1} and {2, 3}
+        # both have Perron root 1, a defective double eigenvalue of M that
+        # eigvals misses by about 6e-9.
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        beta = {(u, v): 0.5 for a, b in g.edges for u, v in ((a, b), (b, a))}
+        beta[(1, 2)] = 0.0
+        m = modified_matrix(g, RateModel(beta=beta, delta={i: 0.5 for i in range(4)}))
+        lam_m, spreads = threshold_lambda(m)
+        assert abs(lam_m - 1.0) <= 1e-12
+        assert spreads
 
     def test_irreducible_graphs_need_no_eigvals(self, monkeypatch):
         from netimmune import ieee118_graph
