@@ -165,21 +165,6 @@ def _reachable(linked: np.ndarray, start: int) -> np.ndarray:
     return seen
 
 
-def _components(matrix: np.ndarray) -> list[np.ndarray]:
-    """Sorted node indices of each connected component of the off-diagonal
-    pattern of M + M^T."""
-    linked = matrix > 0
-    linked |= linked.T
-    unseen = np.ones(matrix.shape[0], dtype=bool)
-    components = []
-    for start in range(matrix.shape[0]):
-        if unseen[start]:
-            found = _reachable(linked, start)
-            unseen &= ~found
-            components.append(np.flatnonzero(found))
-    return components
-
-
 def _strong_classes(matrix: np.ndarray) -> list[np.ndarray]:
     """Sorted node indices of each strongly connected class of M's pattern:
     the nodes both reachable from a pivot and reaching it."""
@@ -206,17 +191,15 @@ def _normalized(v: np.ndarray) -> np.ndarray | None:
 
 def _block_bracket(block: np.ndarray, x: np.ndarray | None, target: float,
                    rtol: float) -> tuple[float, float, np.ndarray]:
-    """Collatz-Wielandt bracket (lo, hi, x) of the Perron root of one connected block.
+    """Collatz-Wielandt bracket (lo, hi, x) of the Perron root of one irreducible block.
 
     Power steps on block + I (the shift keeps x positive and damps the
     -rho of a periodic block), then Noda's shifted inverse iteration with
-    sigma just above hi, where (sigma I - block)^-1 is nonnegative. Stops
-    once hi - lo <= rtol * hi with ``target`` outside (lo, hi]; refinement
-    that stalls or runs out of solves keeps the bracket only if it is
-    within _RTOL. Otherwise a reducible block (a beta of 0 in one direction
-    can leave its Perron vector with zeros) is split into its strongly
-    connected classes, whose largest Perron root is the block's, and each is
-    bracketed on its own; a strongly connected block that still cannot close
+    sigma just above hi, where (sigma I - block)^-1 is nonnegative. Each
+    bound is a computed ratio (block x)_i / x_i, so it holds rho up to that
+    ratio's rounding. Stops once hi - lo <= rtol * hi with ``target``
+    outside (lo, hi]; refinement that stalls or runs out of solves keeps
+    the bracket only if it is within _RTOL. A block that still cannot close
     (a Perron vector that decays faster than _MAX_SOLVES solves resolve)
     takes its eigvals spectral radius (lo = hi).
     """
@@ -259,22 +242,31 @@ def _block_bracket(block: np.ndarray, x: np.ndarray | None, target: float,
             break
     if done() or hi - lo <= _RTOL * hi:
         return lo, hi, x
-    classes = _strong_classes(block)
-    if len(classes) > 1:
-        return _max_bracket(block, classes, x, target, rtol)
     rho = float(np.abs(np.linalg.eigvals(block)).max())
     return rho, rho, x
 
 
-def _max_bracket(matrix: np.ndarray, parts: list[np.ndarray], x0: np.ndarray | None,
-                 target: float, rtol: float) -> tuple[float, float, np.ndarray]:
-    """[max lo_c, max hi_c] over the diagonal blocks matrix[parts[c]] that
-    partition ``matrix``, and the positive x assembled from theirs; a single
-    node contributes its diagonal entry exactly."""
+def _perron_bracket(matrix: np.ndarray, target: float, x0: np.ndarray | None = None,
+                    rtol: float = _RTOL) -> tuple[float, float, np.ndarray]:
+    """Certified lo <= rho(matrix) <= hi for a nonnegative matrix, and the positive x behind it.
+
+    Collatz-Wielandt: for any positive x, min_i (Mx)_i / x_i <= rho(M) <=
+    max_i (Mx)_i / x_i when M is irreducible. rho(M) is the largest Perron
+    root over M's irreducible diagonal blocks, the strongly connected
+    classes of its pattern, so the bracket is [max lo_c, max hi_c] over
+    those classes; a single node contributes its diagonal entry exactly.
+    Each class refines until its relative width is at most ``rtol`` (1 asks
+    for no width) and ``target`` lies outside (lo, hi], so the midpoint
+    tells which side of ``target`` rho lies; ``_block_bracket`` says how a
+    class that cannot close is resolved. The bracket is certified up to the
+    rounding of the ratios themselves: where they resolve rho to the last
+    bit, lo = hi can sit a fraction of an ulp off it (3.9e-17 below it on
+    a 5-node path). ``x0``, a previous call's x, warm-starts the iteration.
+    """
     n = matrix.shape[0]
     x = np.ones(n)
     lo = hi = 0.0
-    for idx in parts:
+    for idx in _strong_classes(matrix):
         if idx.size == 1:
             c_lo = c_hi = float(matrix[idx[0], idx[0]])
         else:
@@ -283,23 +275,6 @@ def _max_bracket(matrix: np.ndarray, parts: list[np.ndarray], x0: np.ndarray | N
             c_lo, c_hi, x[idx] = _block_bracket(block, start, target, rtol)
         lo, hi = max(lo, c_lo), max(hi, c_hi)
     return lo, hi, x
-
-
-def _perron_bracket(matrix: np.ndarray, target: float, x0: np.ndarray | None = None,
-                    rtol: float = _RTOL) -> tuple[float, float, np.ndarray]:
-    """Certified lo <= rho(matrix) <= hi for a nonnegative matrix, and the positive x behind it.
-
-    Collatz-Wielandt: for any positive x, min_i (Mx)_i / x_i <= rho(M) <=
-    max_i (Mx)_i / x_i. rho is the largest over the connected components of
-    the off-diagonal pattern of M + M^T, so the bracket is [max lo_c, max
-    hi_c]; a single node contributes its diagonal entry exactly. Each
-    component refines until its relative width is at most ``rtol`` (1 asks
-    for no width) and ``target`` lies outside (lo, hi], so the midpoint
-    tells which side of ``target`` rho lies; ``_block_bracket`` says how a
-    component that cannot close is resolved. ``x0``, a previous call's x,
-    warm-starts the iteration.
-    """
-    return _max_bracket(matrix, _components(matrix), x0, target, rtol)
 
 
 def threshold_bracket(m: ModifiedMatrix) -> tuple[float, float]:
@@ -317,13 +292,13 @@ def threshold_lambda(m: ModifiedMatrix) -> tuple[float, bool]:
     lambda_M is the Perron root rho(M), the largest-modulus eigenvalue (real,
     the matrix being non-negative); spreading can only be sustained when it
     is >= 1. It is the midpoint of a Collatz-Wielandt bracket lo <= rho <= hi
-    of relative width at most 1e-12 (``threshold_bracket``): the maximum over
-    the connected components of the matrix's pattern, a single node giving
-    1 - delta_i exactly. A reducible component (a beta of 0 in one
-    direction) whose bracket cannot close is bracketed per strongly
-    connected class, and ``np.linalg.eigvals`` decides only a strongly
-    connected block that still cannot close (a long chain whose Perron
-    vector decays below 1e-190).
+    of relative width at most 1e-12 (``threshold_bracket``), certified up to
+    the rounding of the Collatz-Wielandt ratios: the maximum over the
+    strongly connected classes of the matrix's pattern (a beta of 0 in one
+    direction can put an edge's ends in different classes), a single node
+    giving 1 - delta_i exactly. ``np.linalg.eigvals`` decides only a class
+    that cannot close (a long chain whose Perron vector decays below
+    1e-190).
     While 1 lies inside the bracket it is refined further, and at the
     rounding floor the midpoint decides, so ``spreads`` is always
     ``lambda_M >= 1``. This is a diagnostic, never a gate inside the

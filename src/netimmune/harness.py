@@ -53,16 +53,40 @@ def _budget_spec(value) -> BudgetSpec:
     raise ValueError('budget must be text or an object with "count" or "fraction"')
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _seeds(value) -> tuple[int, ...]:
+    if not (isinstance(value, list) and all(_is_int(v) for v in value)):
+        raise ValueError("must be a list of integers")
+    return tuple(value)
+
+
+def _range(value) -> tuple[float, float]:
+    """A [lo, hi] pair, kept as given so integer ends hash as they always have."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(_is_int(v) or isinstance(v, float) for v in value)):
+        raise ValueError("must be a list of two numbers")
+    return tuple(value)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
+
+
 # ExperimentConfig field -> converter from its JSON value.
 _FIELDS = {
     "graph": str,
     "budget": _budget_spec,
-    "seeds": tuple,
+    "seeds": _seeds,
     "graph_format": str,
-    "relabel": bool,
+    "relabel": _flag,
     "strategies": lambda names: tuple(Strategy(s) for s in names),
-    "beta_range": tuple,
-    "delta_range": tuple,
+    "beta_range": _range,
+    "delta_range": _range,
     "steps": int,
     "trials": int,
     "master_seed": int,
@@ -127,9 +151,9 @@ class ExperimentConfig:
             if obj.get(name) is not None:
                 try:
                     kwargs[name] = convert(obj[name])
-                except TypeError:
-                    raise ValueError(f"experiment config key {name!r} has the wrong type: "
-                                     f"{obj[name]!r}") from None
+                except (TypeError, ValueError) as e:
+                    raise ValueError(f"experiment config key {name!r} rejects "
+                                     f"{obj[name]!r}: {e}") from None
         return cls(**kwargs)
 
     def config_sha256(self) -> str:

@@ -281,6 +281,16 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(cfg)]) == 3
         assert "'beta_range'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("seeds", "12"), ("seeds", [1.5]),
+                                            ("beta_range", [0.1]), ("relabel", "no")],
+                             ids=["seeds-text", "seeds-float", "range-short", "relabel-text"])
+    def test_ill_typed_config_value_exits_3(self, p3_file, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": p3_file, "budget": "1", "steps": 3, "trials": 2,
+                                   key: value}))
+        assert main(["compare", "--config", str(cfg)]) == 3
+        assert f"{key!r}" in capsys.readouterr().err
+
     def test_flags_override_config_fields(self, p3_file, tmp_path, capsys):
         cfg, csv_out, json_out = (tmp_path / name for name in ("cfg.json", "t.csv", "t.json"))
         cfg.write_text(json.dumps({"graph": "ieee118", "budget": "5", "steps": 50,

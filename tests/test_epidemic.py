@@ -1,10 +1,12 @@
 from collections import deque
 from contextlib import contextmanager
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from netimmune import (
     Graph,
@@ -343,28 +345,65 @@ def eigvals_rho(matrix):
     return float(np.abs(np.linalg.eigvals(matrix)).max())
 
 
+def mpmath_rho(matrix):
+    """rho from a 40-digit eigensolve, for where eigvals' own rounding shows."""
+    with mpmath.workdps(40):
+        values = mpmath.eig(mpmath.matrix(matrix.tolist()), left=False, right=False)
+        return float(max(abs(v) for v in values))
+
+
+def _non_normal_path():
+    # Betas of 0.003-0.007 one way and 1 the other: eigvals reads
+    # 1.1090948705478247, 2e-12 below the 60-digit root 1.10909487055016913
+    # that the bracket [1.109094870550169, 1.109094870550169] holds.
+    g = Graph(5, [(i, i + 1) for i in range(4)])
+    beta = {(i + 1, i): 1.0 for i in range(4)}
+    beta.update({(0, 1): 0.0029016768013690342, (1, 2): 0.004702036199895722,
+                 (2, 3): 0.006777945621723766, (3, 4): 0.0033838532539624848})
+    delta = {i: 0.0 for i in range(5)}
+    delta[3] = 0.05202130106440961
+    return g, RateModel(beta=beta, delta=delta)
+
+
 class TestPerronBracket:
     @settings(max_examples=400, deadline=None)
     @given(spreading_cases())
+    @example(_non_normal_path())
     def test_bracket_holds_eigvals(self, case):
         m = modified_matrix(*case)
         rho = eigvals_rho(m.matrix)
         lo, hi = threshold_bracket(m)
         lam_m, spreads = threshold_lambda(m)
+        if not (lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12)
+                and abs(lam_m - rho) <= 1e-12 * rho):
+            rho = mpmath_rho(m.matrix)
         assert lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12)
         assert abs(lam_m - rho) <= 1e-12 * rho
         assert spreads == (lam_m >= 1.0)
         if abs(rho - 1.0) > 1e-12:
             assert spreads == (rho >= 1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(spreading_cases())
+    def test_strong_classes_partition_the_nodes(self, case):
+        matrix = modified_matrix(*case).matrix
+        classes = epidemic._strong_classes(matrix)
+        nodes = np.concatenate(classes)
+        assert sorted(nodes) == list(range(matrix.shape[0]))
+        assert all((np.diff(idx) > 0).all() for idx in classes)
+        _, labels = connected_components(matrix > 0, connection="strong")
+        expected = {frozenset(np.flatnonzero(labels == c)) for c in set(labels)}
+        assert {frozenset(idx) for idx in classes} == expected
+
     def test_reducible_block_splits_into_strong_classes(self, k2, monkeypatch):
         # Node 0 hears node 1 but not the reverse, and persists longer: the
-        # Perron vector (1, 0) is not positive, so no bracket of the whole
-        # block closes; its classes {0} and {1} give their diagonals exactly.
-        def fail(a):
-            raise AssertionError("eigvals called")
+        # Perron vector (1, 0) is not positive, but the classes {0} and {1}
+        # give their diagonals exactly, with no eigensolve and no solve.
+        def fail(*args):
+            raise AssertionError("eigensolver called")
 
         monkeypatch.setattr(np.linalg, "eigvals", fail)
+        monkeypatch.setattr(np.linalg, "solve", fail)
         m = modified_matrix(k2, RateModel(beta={(0, 1): 0.5, (1, 0): 0.0},
                                           delta={0: 0.1, 1: 0.5}))
         assert threshold_bracket(m) == (0.9, 0.9)

@@ -75,6 +75,10 @@ class TestLoadGraph:
             load_graph('{"n": true, "edges": []}', GraphFormat.JSON)
         with pytest.raises(GraphFormatError):
             load_graph('{"n": 3, "edges": [[true, 2]]}', GraphFormat.JSON)
+        for labels in ("5", '"ab"', '{"0": "a", "1": "b"}'):
+            with pytest.raises(GraphFormatError, match="labels"):
+                load_graph(f'{{"n": 2, "edges": [[0, 1]], "labels": {labels}}}',
+                           GraphFormat.JSON)
 
     def test_bytes_input(self):
         g = load_graph(b"0 1\n", GraphFormat.EDGELIST)
