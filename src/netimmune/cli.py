@@ -94,7 +94,7 @@ def cmd_compare(args) -> int:
 
     table = run_compare(config)
     print(f"n = {table.n}, budget k = {table.budget_k}, "
-          f"trials = {config.trials}, steps = {config.steps}")
+          f"trials = {config.trials}, steps = {config.steps}, power = {config.power}")
     print(f"{'rank':>4}  {'strategy':<22}{'mean':>10}{'std':>10}{'pct':>9}")
     for r in table.rows:
         print(f"{r.rank:>4}  {r.strategy.value:<22}{r.mean_final_infected:>10.3f}"

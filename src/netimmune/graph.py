@@ -274,8 +274,9 @@ def _graph_from_json(text: str) -> Graph:
             isinstance(e, list) and len(e) == 2 for e in edges):
         raise GraphFormatError('"edges" must be a list of [u, v] pairs')
     labels = obj.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise GraphFormatError('"labels" must be a list of names or null')
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(x, str) for x in labels)):
+        raise GraphFormatError('"labels" must be a list of strings or null')
     return Graph(n, [(e[0], e[1]) for e in edges], labels=labels)
 
 

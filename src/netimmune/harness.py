@@ -47,14 +47,25 @@ def _budget_spec(value) -> BudgetSpec:
     if isinstance(value, str):
         return BudgetSpec.parse(value)
     if isinstance(value, dict) and value.get("count") is not None:
-        return BudgetSpec.from_count(int(value["count"]))
-    if isinstance(value, dict) and value.get("fraction") is not None:
-        return BudgetSpec.from_fraction(float(value["fraction"]))
-    raise ValueError('budget must be text or an object with "count" or "fraction"')
+        return BudgetSpec.from_count(_int(value["count"]))
+    if isinstance(value, dict) and _is_number(value.get("fraction")):
+        return BudgetSpec.from_fraction(value["fraction"])
+    raise ValueError('budget must be text or an object with integer "count" or '
+                     'numeric "fraction"')
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _int(value) -> int:
+    if not _is_int(value):
+        raise ValueError("must be an integer")
+    return value
 
 
 def _seeds(value) -> tuple[int, ...]:
@@ -66,9 +77,15 @@ def _seeds(value) -> tuple[int, ...]:
 def _range(value) -> tuple[float, float]:
     """A [lo, hi] pair, kept as given so integer ends hash as they always have."""
     if not (isinstance(value, list) and len(value) == 2
-            and all(_is_int(v) or isinstance(v, float) for v in value)):
+            and all(_is_number(v) for v in value)):
         raise ValueError("must be a list of two numbers")
     return tuple(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("must be a string")
+    return value
 
 
 def _flag(value) -> bool:
@@ -79,21 +96,21 @@ def _flag(value) -> bool:
 
 # ExperimentConfig field -> converter from its JSON value.
 _FIELDS = {
-    "graph": str,
+    "graph": _text,
     "budget": _budget_spec,
     "seeds": _seeds,
-    "graph_format": str,
+    "graph_format": _text,
     "relabel": _flag,
     "strategies": lambda names: tuple(Strategy(s) for s in names),
     "beta_range": _range,
     "delta_range": _range,
-    "steps": int,
-    "trials": int,
-    "master_seed": int,
-    "power": int,
-    "calibration_trials": int,
-    "output_csv": str,
-    "output_json": str,
+    "steps": _int,
+    "trials": _int,
+    "master_seed": _int,
+    "power": _int,
+    "calibration_trials": _int,
+    "output_csv": _text,
+    "output_json": _text,
 }
 
 

@@ -281,9 +281,16 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(cfg)]) == 3
         assert "'beta_range'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("seeds", "12"), ("seeds", [1.5]),
-                                            ("beta_range", [0.1]), ("relabel", "no")],
-                             ids=["seeds-text", "seeds-float", "range-short", "relabel-text"])
+    @pytest.mark.parametrize("key, value", [
+        ("seeds", "12"), ("seeds", [1.5]), ("beta_range", [0.1]), ("relabel", "no"),
+        ("steps", 1.5), ("trials", True), ("master_seed", "7"), ("power", 4.0),
+        ("calibration_trials", "4"), ("graph", 7), ("graph_format", 1),
+        ("output_csv", 7), ("output_json", ["t.json"]), ("budget", {"count": 1.5}),
+        ("budget", {"fraction": "0.5"}),
+    ], ids=["seeds-text", "seeds-float", "range-short", "relabel-text", "steps-float",
+            "trials-bool", "master-seed-text", "power-float", "calibration-text",
+            "graph-int", "format-int", "output-csv-int", "output-json-list",
+            "count-float", "fraction-text"])
     def test_ill_typed_config_value_exits_3(self, p3_file, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"graph": p3_file, "budget": "1", "steps": 3, "trials": 2,
@@ -307,6 +314,8 @@ class TestCompareCommand:
             "beta_range": [0.1, 0.2], "delta_range": [0.3, 0.4], "steps": 3, "trials": 2,
             "master_seed": 7, "power": 4, "calibration_trials": 4,
             "output_csv": str(csv_out), "output_json": str(json_out)}
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == "n = 3, budget k = 1, trials = 2, steps = 3, power = 4"
 
     def test_zero_beta_bounds_rows_by_seed_count(self, tmp_path):
         import networkx as nx

@@ -75,7 +75,8 @@ class TestLoadGraph:
             load_graph('{"n": true, "edges": []}', GraphFormat.JSON)
         with pytest.raises(GraphFormatError):
             load_graph('{"n": 3, "edges": [[true, 2]]}', GraphFormat.JSON)
-        for labels in ("5", '"ab"', '{"0": "a", "1": "b"}'):
+        for labels in ("5", '"ab"', '{"0": "a", "1": "b"}', '[1, null]', '["a", 2]',
+                       '["a", ["b"]]'):
             with pytest.raises(GraphFormatError, match="labels"):
                 load_graph(f'{{"n": 2, "edges": [[0, 1]], "labels": {labels}}}',
                            GraphFormat.JSON)

@@ -22,7 +22,13 @@ from netimmune import (
     trace_power_bound,
 )
 
-from conftest import disjoint_copies, gnp_graphs, random_graph, star_graph
+from conftest import (
+    disjoint_copies,
+    gnp_graphs,
+    random_connected_graph,
+    random_graph,
+    star_graph,
+)
 
 
 def lam1(matrix):
@@ -321,15 +327,52 @@ def reference_av11(g, k, power):
     return picks
 
 
+def reference_av11_eigh(g, k, power):
+    """Reference greedy in spectral form: per pick, one eigh of the active block
+    B = U diag(w) U^T and the diagonal (U o U) ((w + d) / (w_max + d))^p, whose
+    factors all lie in (0, 1] at any even p."""
+    d = diagonal_shift(g)
+    a = g.adjacency_matrix()
+    active = np.arange(g.n)
+    picks = []
+    for _ in range(k):
+        w, u = np.linalg.eigh(a[np.ix_(active, active)])
+        diag = (u * u) @ ((w + d) / (w[-1] + d)) ** power
+        vmax = diag.max()
+        pos = int(np.flatnonzero(diag >= vmax - 1e-9 * vmax)[0])
+        picks.append(int(active[pos]))
+        active = np.delete(active, pos)
+    return picks
+
+
 class TestHighPowers:
+    # p/2 = 3, 5 and 12 have more than one bit set, so the squaring chain
+    # also multiplies two different powers.
     @settings(max_examples=200, deadline=None)
-    @given(gnp_graphs(), st.sampled_from([2, 4, 16]))
+    @given(gnp_graphs(), st.sampled_from([2, 4, 6, 10, 16, 24]))
     def test_picks_equal_matrix_power_greedy(self, g, power):
         assert av11_select(g, g.n, power=power)[0] == reference_av11(g, g.n, power)
 
+    # matrix_power overflows at the larger powers, so the eigh form is the
+    # reference there.
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(gnp_graphs(), gnp_graphs(max_n=8).map(disjoint_copies)),
+           st.sampled_from([64, 256, 2 ** 16]))
+    def test_picks_equal_eigh_greedy(self, g, power):
+        assert av11_select(g, g.n, power=power)[0] == reference_av11_eigh(g, g.n, power)
+
+    def test_disjoint_copies_tie_to_lowest_id(self):
+        # The copies' diagonals tie, so the first pick is g's own first pick;
+        # removing it lowers lambda_1 of that copy, so the twin comes next.
+        for seed in range(4):
+            g = random_connected_graph(12, seed)
+            first = av11_select(g, 1, power=2 ** 16)[0][0]
+            selected, _ = av11_select(disjoint_copies(g), 2, power=2 ** 16)
+            assert selected == [first, first + g.n]
+
     def test_dense_graph_at_power_256(self):
         g = random_graph(200, 0.5, 1)
-        for power in (256, 2 ** 16):
+        for power in (256, 2 ** 16, 2 ** 60):
             bound, lam = trace_power_bound(g, [], power=power)
             assert math.isfinite(bound)
             assert lam - 1e-9 <= bound <= lam + 1.0
