@@ -58,7 +58,7 @@ class Graph:
     Edges are stored as canonical (u, v) pairs with u < v. Directed or
     duplicated input pairs are symmetrized and deduplicated on construction;
     self-loops are rejected. ``labels`` optionally carries one external name
-    per node id (e.g. original bus numbers of a relabeled file).
+    per node id, a string (e.g. original bus numbers of a relabeled file).
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
@@ -75,7 +75,9 @@ class Graph:
                 raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}")
             canon.add((u, v) if u < v else (v, u))
         if labels is not None:
-            labels = tuple(str(x) for x in labels)
+            given, labels = labels, tuple(labels)
+            if isinstance(given, str) or not all(isinstance(x, str) for x in labels):
+                raise GraphFormatError(f"labels must be a sequence of strings, got {given!r}")
             if len(labels) != n:
                 raise GraphFormatError(
                     f"labels length {len(labels)} does not match node count {n}")

@@ -88,6 +88,16 @@ def _text(value) -> str:
     return value
 
 
+def _strategies(value) -> tuple[Strategy, ...]:
+    if not (isinstance(value, list) and value):
+        raise ValueError("must be a nonempty list of strategy names")
+    strategies = tuple(Strategy(name) for name in value)
+    repeated = sorted({s.value for s in strategies if strategies.count(s) > 1})
+    if repeated:
+        raise ValueError(f"names {', '.join(repeated)} more than once")
+    return strategies
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError("must be true or false")
@@ -101,7 +111,7 @@ _FIELDS = {
     "seeds": _seeds,
     "graph_format": _text,
     "relabel": _flag,
-    "strategies": lambda names: tuple(Strategy(s) for s in names),
+    "strategies": _strategies,
     "beta_range": _range,
     "delta_range": _range,
     "steps": _int,

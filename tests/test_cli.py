@@ -298,6 +298,18 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(cfg)]) == 3
         assert f"{key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, message", [
+        ([], "nonempty list"), ("degree", "nonempty list"), (["degree", "av11", "degree"],
+                                                            "names degree more than once"),
+    ], ids=["empty", "bare-string", "duplicate"])
+    def test_bad_strategy_list_exits_3(self, p3_file, tmp_path, capsys, value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": p3_file, "budget": "1", "steps": 3, "trials": 2,
+                                   "strategies": value}))
+        assert main(["compare", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "'strategies'" in err and message in err
+
     def test_flags_override_config_fields(self, p3_file, tmp_path, capsys):
         cfg, csv_out, json_out = (tmp_path / name for name in ("cfg.json", "t.csv", "t.json"))
         cfg.write_text(json.dumps({"graph": "ieee118", "budget": "5", "steps": 50,

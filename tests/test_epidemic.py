@@ -1,7 +1,9 @@
+import math
 from collections import deque
 from contextlib import contextmanager
 
 import mpmath
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -24,7 +26,14 @@ from netimmune import (
     threshold_lambda,
 )
 from netimmune import epidemic
-from netimmune.epidemic import _CALIBRATION_STREAM, _log_survival, _rate_arrays
+from netimmune.epidemic import (
+    _CALIBRATION_STREAM,
+    _DenseEscape,
+    _EdgeEscape,
+    _log_survival,
+    _rate_arrays,
+    _rate_edges,
+)
 
 from conftest import disjoint_copies, gnp_graphs, random_graph, star_graph
 
@@ -118,7 +127,13 @@ def graphs_with_rates(draw):
 
 
 def dict_loop_matrices(g, r):
-    """Reference: the modified and log-survival matrices filled entry by entry."""
+    """Reference: the modified and log-survival matrices filled entry by entry.
+
+    The log-survival entries are log(1 - beta) clamped at -40 and rounded to
+    the nearest multiple of 2^-e, e = 51 - ceil(log2(40 d)) with d the most
+    nonzero rates a node receives; the unrounded clamped entries and the
+    grid step come back too.
+    """
     beta = np.zeros((g.n, g.n))
     for (i, j), v in r.beta.items():
         beta[i, j] = v
@@ -126,9 +141,15 @@ def dict_loop_matrices(g, r):
     for i, v in r.delta.items():
         m[i, i] = 1.0 - v
     with np.errstate(divide="ignore"):
-        log_s = np.log1p(-beta)
-    log_s[np.isneginf(log_s)] = -800.0
-    return m, log_s
+        exact = np.maximum(np.log1p(-beta), -40.0)
+    d = max(sum(1 for (i, _), v in r.beta.items() if i == node and v != 0)
+            for node in range(g.n))
+    e = 51 - math.ceil(math.log2(40 * max(1, d)))
+    log_s = np.zeros_like(exact)
+    for i in range(g.n):
+        for j in range(g.n):
+            log_s[i, j] = math.ldexp(round(math.ldexp(float(exact[i, j]), e)), -e)
+    return m, log_s, exact, 2.0 ** -e
 
 
 class TestDenseRatesMatchDictLoop:
@@ -136,9 +157,11 @@ class TestDenseRatesMatchDictLoop:
     @given(graphs_with_rates())
     def test_matrices_equal_reference(self, case):
         g, r = case
-        m_ref, log_s_ref = dict_loop_matrices(g, r)
+        m_ref, log_s_ref, exact, step = dict_loop_matrices(g, r)
         assert np.array_equal(modified_matrix(g, r).matrix, m_ref)
-        assert np.array_equal(_log_survival(_rate_arrays(g, r)[0]), log_s_ref)
+        log_s = _log_survival(_rate_arrays(g, r)[0])
+        assert np.array_equal(log_s, log_s_ref)
+        assert (np.abs(log_s - exact) <= step / 2).all()
 
 
 class TestIterationProperties:
@@ -265,6 +288,139 @@ class TestBatchedKernelMatchesReference:
             finals, totals = simulate_sis_paired(g, r, seeds, [(), (), ()], steps, trials,
                                                  case["master_seed"])
         assert (finals == finals[0]).all() and (totals == totals[0]).all()
+
+
+@st.composite
+def edge_rate_cases(draw):
+    """A graph with at least one isolated node and a beta per directed edge
+    that is 0, 1 or anything between."""
+    g = draw(gnp_graphs(max_n=9))
+    g = Graph(g.n + 1, g.edges)
+    rate = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    beta = {}
+    for u, v in sorted(g.edges):
+        beta[(u, v)], beta[(v, u)] = draw(rate), draw(rate)
+    delta = {i: draw(st.floats(0.0, 1.0)) for i in range(g.n)}
+    return g, RateModel(beta=beta, delta=delta)
+
+
+@contextmanager
+def escape_kernel(kind):
+    """Route every simulation through the "edge" or the "dense" escape kernel,
+    whatever the graph's size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(epidemic, "_EDGE_COST", 0 if kind == "edge" else math.inf)
+        yield
+
+
+def escape_sums(g, r, infected):
+    """Escape sums of the boolean states ``infected`` (rows, n) from the dense
+    kernel, the edge kernel and a Python loop over the sources in reverse."""
+    sums = []
+    dense, edge = _DenseEscape(_rate_arrays(g, r)[0]), _EdgeEscape(g.n, *_rate_edges(g, r)[:3])
+    for kernel in (dense, edge):
+        out = np.empty(infected.shape)
+        kernel(infected, kernel.scratch(infected.shape), out)
+        sums.append(out)
+    log_s = _log_survival(_rate_arrays(g, r)[0])
+    backward = np.zeros(infected.shape)
+    for row, state in enumerate(infected):
+        for v in range(g.n):
+            total = 0.0
+            for k in reversed(range(g.n)):
+                if state[k]:
+                    total += log_s[v, k]
+            backward[row, v] = total
+    return sums + [backward]
+
+
+class TestEscapeKernelsAgree:
+    """The grid of _log_survival makes every partial escape sum exact, so the
+    dense product, the edge kernel and any summation order agree bit for bit
+    (a zero sum may carry either sign, which -expm1 and the draw read alike)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_rate_cases(), st.data())
+    def test_escape_sums_equal_in_any_order(self, case, data):
+        g, r = case
+        rows = data.draw(st.integers(1, 4))
+        cells = data.draw(st.lists(st.booleans(), min_size=rows * g.n, max_size=rows * g.n))
+        dense, edge, backward = escape_sums(g, r, np.array(cells).reshape(rows, g.n))
+        assert np.array_equal(dense, backward) and np.array_equal(edge, backward)
+
+    @pytest.mark.parametrize("density", [0.02, 0.3, 0.9])
+    def test_escape_sums_equal_on_ieee118(self, density):
+        from netimmune import ieee118_graph
+
+        g = ieee118_graph()
+        r = build_rates(g, (0.0, 1.0), (0.2, 0.5), seed=5)
+        infected = np.random.default_rng(9).random((3, g.n)) < density
+        dense, edge, backward = escape_sums(g, r, infected)
+        assert np.array_equal(dense, backward) and np.array_equal(edge, backward)
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_rate_cases(), st.data())
+    def test_paired_rows_equal_through_either_kernel(self, case, data):
+        g, r = case
+        nodes = st.sets(st.integers(0, g.n - 1))
+        seeds = data.draw(nodes)
+        sets = data.draw(st.lists(nodes.map(lambda s: sorted(s - seeds)), min_size=1,
+                                  max_size=3))
+        steps, trials = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 7))
+        master_seed = data.draw(st.integers(0, 2**32 - 1))
+        chunk = data.draw(st.integers(1, trials))
+        results = []
+        for kind in ("dense", "edge"):
+            with escape_kernel(kind), kernel_caps(g.n, len(sets), chunk, steps):
+                results.append(simulate_sis_paired(g, r, sorted(seeds), sets, steps, trials,
+                                                   master_seed))
+        (finals, totals), (edge_finals, edge_totals) = results
+        assert np.array_equal(finals, edge_finals) and np.array_equal(totals, edge_totals)
+
+    @pytest.mark.parametrize("kind", ["dense", "edge"])
+    def test_certain_edge_infects_with_probability_one(self, kind):
+        # Hub 0 cures every step and hears from leaf 1 with beta = 1.
+        g = star_graph(5)
+        beta = {(0, i): 0.3 for i in range(1, 6)} | {(i, 0): 0.5 for i in range(1, 6)}
+        beta[(0, 1)] = 1.0
+        r = RateModel(beta=beta, delta={0: 1.0} | {i: 0.0 for i in range(1, 6)})
+        only_leaf_1, every_leaf = np.zeros((2, g.n), dtype=bool)
+        only_leaf_1[1] = every_leaf[1:] = True
+        for sums in escape_sums(g, r, np.array([only_leaf_1, every_leaf])):
+            assert sums[0, 0] == -40.0 and sums[1, 0] < -40.0
+            assert (-np.expm1(sums[:, 0]) == 1.0).all()
+        with escape_kernel(kind):
+            outcomes = simulate_sis(g, r, seeds=range(1, 6), immunized=[], steps=50,
+                                    trials=40, master_seed=3)
+        assert all(o.infected_counts == (5,) + (6,) * 50 for o in outcomes)
+
+
+class TestEdgeKernelOnSparseGraphs:
+    """Graphs past the crossover n^2 > 64 (edges + n) take the edge kernel by
+    default and give what the dense kernel gives."""
+
+    @pytest.mark.parametrize("g", [
+        Graph(300, [(i, (i + 1) % 300) for i in range(300)]),
+        Graph(600, list(nx.barabasi_albert_graph(600, 2, seed=4).edges())),
+    ], ids=["cycle-300", "ba-600-2"])
+    def test_simulate_and_rank_equal_dense(self, g, monkeypatch):
+        r = build_rates(g, (0.2, 0.6), (0.1, 0.3), seed=3)
+        built = []
+        edge_kernel = epidemic._EdgeEscape
+        monkeypatch.setattr(epidemic, "_EdgeEscape",
+                            lambda *args: built.append(args) or edge_kernel(*args))
+        protocol = SimulationProtocol(steps=40, trials=6, master_seed=11)
+
+        def run():
+            return (simulate_sis(g, r, [0, 150], [5, 6], steps=60, trials=6, master_seed=11),
+                    most_infected_ranking(g, r, protocol))
+
+        sparse = run()
+        assert len(built) == 2
+        assert max(max(o.infected_counts) for o in sparse[0]) > 20
+        with escape_kernel("dense"):
+            assert run() == sparse
+        assert len(built) == 2
 
 
 class TestThreshold:

@@ -96,6 +96,9 @@ class TestGraphInvariants:
             Graph(2, [(0, 2)])
         with pytest.raises(GraphFormatError):
             Graph(2, [(0, 1)], labels=["only-one"])
+        for labels in ([1, None], ["a", 2], "ab", [b"a", b"b"]):
+            with pytest.raises(GraphFormatError, match="labels"):
+                Graph(2, [(0, 1)], labels=labels)
         with pytest.raises(GraphFormatError):
             Graph(True, [])
         with pytest.raises(GraphFormatError):
