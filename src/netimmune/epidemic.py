@@ -421,7 +421,7 @@ def _log_survival(beta: np.ndarray, in_degree: int | None = None) -> np.ndarray:
     ceil(log2(40 d)) and d = ``in_degree``, the most nonzero rates any node
     receives (by default counted along the rows of a dense ``beta``). A
     node's escape sum then adds at most d such entries, so every partial sum
-    is a multiple of 2^-e below 2^51 of them in magnitude, hence exact: the
+    is a multiple of 2^-e at most 2^51 of them in magnitude, hence exact: the
     escape sums are the same in any order, on either escape kernel (a zero
     sum may carry either sign, which no infection draw tells apart).
     """
@@ -481,6 +481,7 @@ class _EdgeEscape:
     def __call__(self, infected: np.ndarray, scratch: tuple[np.ndarray, np.ndarray],
                  out: np.ndarray) -> None:
         states, terms = scratch
+        # The sources are valid ids; mode="clip" lets take write into states unbuffered.
         np.take(infected, self.sources, axis=-1, out=states, mode="clip")
         np.multiply(states, self.log_s, out=terms)
         np.add.reduceat(terms, self.starts, axis=-1, out=out)
