@@ -16,11 +16,11 @@ import numpy as np
 from ._version import __version__
 from .epidemic import (
     SimulationProtocol,
+    _threshold_verdict,
     build_rates,
     modified_matrix,
     simulate_sis,
     threshold_bracket,
-    threshold_lambda,
 )
 from .graph import GraphFormatError, Strategy
 from .harness import (
@@ -50,11 +50,12 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_rate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta-range", nargs=2, type=float, default=[0.1, 0.4],
+    p.add_argument("--beta-range", nargs=2, type=float, default=ExperimentConfig.beta_range,
                    metavar=("LO", "HI"), help="uniform range for infection rates")
-    p.add_argument("--delta-range", nargs=2, type=float, default=[0.2, 0.5],
+    p.add_argument("--delta-range", nargs=2, type=float, default=ExperimentConfig.delta_range,
                    metavar=("LO", "HI"), help="uniform range for cure rates")
-    p.add_argument("--seed", type=int, default=42, help="master RNG seed")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed,
+                   help="master RNG seed")
 
 
 def cmd_rank(args) -> int:
@@ -108,8 +109,8 @@ def cmd_threshold(args) -> int:
     g = resolve_graph(args.graph, args.fmt, args.relabel)
     rates = build_rates(g, args.beta_range, args.delta_range, rate_seed_for(args.seed))
     m = modified_matrix(g, rates)
-    lam_m, spreads = threshold_lambda(m)
     lo, hi = threshold_bracket(m)
+    lam_m, spreads = _threshold_verdict(lo, hi)
     lam_1 = spectrum(g).lambda_1
     print(f"lambda_M = {lam_m:.6f} ({'above' if spreads else 'below'} threshold)")
     print(f"lambda_M in [{lo!r}, {hi!r}]")

@@ -157,18 +157,11 @@ def _rate_edges(g: Graph, r: RateModel) -> tuple[np.ndarray, ...]:
     return pairs[:, 0], pairs[:, 1], beta, delta
 
 
-def _rate_arrays(g: Graph, r: RateModel) -> tuple[np.ndarray, np.ndarray]:
-    """Check ``r`` against ``g``; return the dense beta matrix (0 off the edges) and delta."""
-    receivers, sources, values, delta = _rate_edges(g, r)
-    beta = np.zeros((g.n, g.n))
-    beta[receivers, sources] = values
-    return beta, delta
-
-
 def modified_matrix(g: Graph, r: RateModel) -> ModifiedMatrix:
     """m_ij = beta_ij on edges, 0 elsewhere off-diagonal, 1 - delta_i on the diagonal."""
-    m, delta = _rate_arrays(g, r)
-    np.fill_diagonal(m, 1.0 - delta)
+    receivers, sources, beta, delta = _rate_edges(g, r)
+    m = np.diag(1.0 - delta)
+    m[receivers, sources] = beta
     return ModifiedMatrix(matrix=m)
 
 
@@ -324,7 +317,11 @@ def threshold_lambda(m: ModifiedMatrix) -> tuple[float, bool]:
     simulator: below 1 the infection provably dies out, above 1 nothing
     quantitative is implied.
     """
-    lo, hi = threshold_bracket(m)
+    return _threshold_verdict(*threshold_bracket(m))
+
+
+def _threshold_verdict(lo: float, hi: float) -> tuple[float, bool]:
+    """(lambda_M, spreads) from a ``threshold_bracket``: its midpoint and whether that is >= 1."""
     lam_m = 0.5 * (lo + hi)
     return lam_m, lam_m >= 1.0
 
@@ -412,21 +409,20 @@ def _trial_seed_sequence(master_seed: int, trial: int,
     return np.random.SeedSequence(entropy=master_seed, spawn_key=stream + (trial,))
 
 
-def _log_survival(beta: np.ndarray, in_degree: int | None = None) -> np.ndarray:
-    """Overwrite the rates ``beta`` with log(1 - beta) on an exact grid; return it.
+def _log_survival(beta: np.ndarray, receivers: np.ndarray) -> np.ndarray:
+    """Overwrite the edge rates ``beta`` with log(1 - beta) on an exact grid; return it.
 
     Each entry is clamped at -40 (certain infection, beta = 1, maps there:
     -expm1 of any escape sum at or below -40 rounds to 1.0, so it stays
     certain) and rounded to the nearest multiple of 2^-e, with e = 51 -
-    ceil(log2(40 d)) and d = ``in_degree``, the most nonzero rates any node
-    receives (by default counted along the rows of a dense ``beta``). A
-    node's escape sum then adds at most d such entries, so every partial sum
-    is a multiple of 2^-e at most 2^51 of them in magnitude, hence exact: the
-    escape sums are the same in any order, on either escape kernel (a zero
-    sum may carry either sign, which no infection draw tells apart).
+    ceil(log2(40 d)) and d the most nonzero rates any node receives, counted
+    over ``receivers``. A node's escape sum then adds at most d such entries,
+    so every partial sum is a multiple of 2^-e at most 2^51 of them in
+    magnitude, hence exact: both escape kernels get these same values, and
+    the escape sums are the same in any order, on either kernel (a zero sum
+    may carry either sign, which no infection draw tells apart).
     """
-    if in_degree is None:
-        in_degree = int(np.count_nonzero(beta, axis=-1).max())
+    in_degree = int(np.bincount(receivers[beta != 0], minlength=1).max())
     # (x - 1).bit_length() is ceil(log2(x)) for an integer x >= 1.
     scale = 2.0 ** (51 - (_CLAMP * max(1, in_degree) - 1).bit_length())
     np.negative(beta, out=beta)
@@ -440,12 +436,13 @@ def _log_survival(beta: np.ndarray, in_degree: int | None = None) -> np.ndarray:
 
 
 class _DenseEscape:
-    """Escape sums as one product infected @ log_s.T, log_s built in place
-    from the dense rate matrix ``beta``."""
+    """Escape sums as one product infected @ log_s.T, the edges' log-survival
+    values scattered into the transposed n x n layout (0 off the edges)."""
 
-    def __init__(self, beta: np.ndarray):
-        self.log_s_t = _log_survival(beta).T
-        self.row_bytes = _STATE_BYTES * beta.shape[0]
+    def __init__(self, n: int, receivers: np.ndarray, sources: np.ndarray, log_s: np.ndarray):
+        self.log_s_t = np.zeros((n, n))
+        self.log_s_t[sources, receivers] = log_s
+        self.row_bytes = _STATE_BYTES * n
 
     def scratch(self, shape: tuple[int, ...]) -> np.ndarray:
         return np.empty(shape)
@@ -463,14 +460,12 @@ class _EdgeEscape:
     segment is empty.
     """
 
-    def __init__(self, n: int, receivers: np.ndarray, sources: np.ndarray, beta: np.ndarray):
-        in_degree = int(np.bincount(receivers[beta != 0], minlength=1).max())
+    def __init__(self, n: int, receivers: np.ndarray, sources: np.ndarray, log_s: np.ndarray):
         lonely = np.flatnonzero(np.bincount(receivers, minlength=n) == 0)
         receivers = np.concatenate((receivers, lonely))
         order = np.argsort(receivers, kind="stable")
         self.sources = np.concatenate((sources, lonely))[order]
-        beta = np.concatenate((beta, np.zeros(lonely.size)))[order]
-        self.log_s = _log_survival(beta, in_degree)
+        self.log_s = np.concatenate((log_s, np.zeros(lonely.size)))[order]
         self.starts = np.searchsorted(receivers[order], np.arange(n))
         self.row_bytes = _STATE_BYTES * n + _GATHER_BYTES * self.sources.size
 
@@ -533,12 +528,9 @@ def _run_trials(g: Graph, r: RateModel, seeds: Iterable[int] | None,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = g.n
-    if n * n > _EDGE_COST * (len(r.beta) + n):
-        *edges, delta = _rate_edges(g, r)
-        escape = _EdgeEscape(n, *edges)
-    else:
-        beta, delta = _rate_arrays(g, r)
-        escape = _DenseEscape(beta)
+    receivers, sources, beta, delta = _rate_edges(g, r)
+    kernel = _EdgeEscape if n * n > _EDGE_COST * (beta.size + n) else _DenseEscape
+    escape = kernel(n, receivers, sources, _log_survival(beta, receivers))
     seed_list = () if seeds is None else tuple(seeds)
     seed_mask, _ = _masks(n, seed_list, ())
     immune = [_masks(n, seed_list, imm)[1] for imm in immunized_sets]
@@ -570,8 +562,7 @@ def _run_trials(g: Graph, r: RateModel, seeds: Iterable[int] | None,
                 # p_infect = -expm1(escape sums), in reused buffers.
                 escape(infected, scratch, out=p_infect)
                 np.negative(np.expm1(p_infect, out=p_infect), out=p_infect)
-                newly = ~survivors & can_catch & (uniforms[:, j, 1] < p_infect)
-                infected = survivors | newly
+                infected = survivors | (can_catch & (uniforms[:, j, 1] < p_infect))
                 yield first, t, infected
 
     return advance()
@@ -663,18 +654,17 @@ def scale_rates_to_threshold(g: Graph, r: RateModel, target: float,
     upper end may pass 1 when no drawn beta reached the input's). Raises if
     the target is unreachable with every beta kept within [0, 1].
     """
-    beta, delta = _rate_arrays(g, r)
+    receivers, sources, beta, delta = _rate_edges(g, r)
     if not beta.any():
         raise ValueError("every beta is 0 (or the graph has no edges); "
                          "lambda_M cannot be scaled via beta")
-    m = np.empty_like(beta)
+    m = np.diag(1.0 - delta)
     x = None
 
     def lam(scale: float, rtol: float = 1.0) -> float:
         """lambda_M at ``scale``; rtol = 1 refines only until target leaves the bracket."""
         nonlocal x
-        np.multiply(beta, scale, out=m)
-        np.fill_diagonal(m, 1.0 - delta)
+        m[receivers, sources] = beta * scale
         lo, hi, x = _perron_bracket(m, target, x, rtol)
         return 0.5 * (lo + hi)
 

@@ -30,6 +30,7 @@ from .graph import (
     BudgetSpec,
     Graph,
     Strategy,
+    _is_int,
     ieee118_graph,
     load_graph_path,
 )
@@ -52,10 +53,6 @@ def _budget_spec(value) -> BudgetSpec:
         return BudgetSpec.from_fraction(value["fraction"])
     raise ValueError('budget must be text or an object with integer "count" or '
                      'numeric "fraction"')
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_number(v) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from netimmune import Graph
+from netimmune.epidemic import _log_survival, _rate_edges
 
 
 @pytest.fixture
@@ -60,6 +61,15 @@ def random_connected_graph(n: int, seed: int) -> Graph:
 def disjoint_copies(g: Graph) -> Graph:
     """Two disjoint copies of g: every eigenvalue of g, lambda_1 included, doubles."""
     return Graph(2 * g.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in g.edges])
+
+
+def dense_log_survival(g: Graph, r) -> np.ndarray:
+    """The simulator's log-survival values as an n x n matrix, receivers in
+    rows and 0 off the edges."""
+    receivers, sources, beta, _ = _rate_edges(g, r)
+    log_s = np.zeros((g.n, g.n))
+    log_s[receivers, sources] = _log_survival(beta, receivers)
+    return log_s
 
 
 @st.composite

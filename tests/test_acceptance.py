@@ -29,10 +29,10 @@ from netimmune import (
     threshold_lambda,
     trace_power_bound,
 )
-from netimmune.epidemic import _log_survival, _masks, _rate_arrays, _trial_seed_sequence
+from netimmune.epidemic import _masks, _trial_seed_sequence
 from netimmune.oracle import optimal_removal
 
-from conftest import star_graph
+from conftest import dense_log_survival, star_graph
 
 
 def lam1(matrix):
@@ -169,7 +169,7 @@ def test_exact_dynamics_consistency():
         theory = exact_probability_iteration(m, p0, horizon)
 
         seed_mask, immune_mask = _masks(g.n, seeds, ())
-        log_s = _log_survival(_rate_arrays(g, rates)[0])
+        log_s = dense_log_survival(g, rates)
         delta = np.array([rates.delta[i] for i in range(g.n)])
         acc = np.zeros((horizon + 1, g.n))
         for trial in range(trials):

@@ -12,6 +12,7 @@ from netimmune import (
     ExperimentConfig,
     Strategy,
     build_rates,
+    epidemic,
     modified_matrix,
     strategies,
 )
@@ -119,6 +120,14 @@ class TestThresholdCommand:
         assert main(["threshold", "--graph", str(path), "--beta-range", "0.5", "0.5",
                      "--delta-range", "0.95", "0.95"]) == 0
         assert "below threshold" in capsys.readouterr().out
+
+    def test_brackets_lambda_m_once(self, monkeypatch):
+        calls = []
+        bracket = epidemic._perron_bracket
+        monkeypatch.setattr(epidemic, "_perron_bracket",
+                            lambda *args: calls.append(args) or bracket(*args))
+        assert main(["threshold", "--graph", "ieee118"]) == 0
+        assert len(calls) == 1
 
 
 class TestThresholdBracket:

@@ -31,11 +31,10 @@ from netimmune.epidemic import (
     _DenseEscape,
     _EdgeEscape,
     _log_survival,
-    _rate_arrays,
     _rate_edges,
 )
 
-from conftest import disjoint_copies, gnp_graphs, random_graph, star_graph
+from conftest import dense_log_survival, disjoint_copies, gnp_graphs, random_graph, star_graph
 
 
 def constant_rates(g, beta, delta):
@@ -155,11 +154,16 @@ def dict_loop_matrices(g, r):
 class TestDenseRatesMatchDictLoop:
     @settings(max_examples=150, deadline=None)
     @given(graphs_with_rates())
+    # Node 1 hears from node 2 and, at beta = 0, from node 0: d = 1 puts the
+    # grid at 2^-45, while counting the zero rate too would give 2^-44.
+    @example((Graph(3, [(0, 1), (1, 2)]),
+              RateModel(beta={(0, 1): 1.0, (1, 0): 0.0, (1, 2): 0.2, (2, 1): 0.35},
+                        delta={0: 0.2, 1: 0.4, 2: 0.6})))
     def test_matrices_equal_reference(self, case):
         g, r = case
         m_ref, log_s_ref, exact, step = dict_loop_matrices(g, r)
         assert np.array_equal(modified_matrix(g, r).matrix, m_ref)
-        log_s = _log_survival(_rate_arrays(g, r)[0])
+        log_s = dense_log_survival(g, r)
         assert np.array_equal(log_s, log_s_ref)
         assert (np.abs(log_s - exact) <= step / 2).all()
 
@@ -184,7 +188,7 @@ def reference_sis_trials(g, r, seeds, immunized, steps, trials, master_seed, str
     Yields (per-step counts, final mask, per-node infected-step tally) per
     trial. ``seeds=None`` starts trial t at node t mod n.
     """
-    log_s = _log_survival(_rate_arrays(g, r)[0])
+    log_s = dense_log_survival(g, r)
     delta = np.array([r.delta[i] for i in range(g.n)])
     immune_mask = np.zeros(g.n, dtype=bool)
     immune_mask[list(immunized)] = True
@@ -317,12 +321,15 @@ def escape_sums(g, r, infected):
     """Escape sums of the boolean states ``infected`` (rows, n) from the dense
     kernel, the edge kernel and a Python loop over the sources in reverse."""
     sums = []
-    dense, edge = _DenseEscape(_rate_arrays(g, r)[0]), _EdgeEscape(g.n, *_rate_edges(g, r)[:3])
+    receivers, sources, beta, _ = _rate_edges(g, r)
+    log_s = _log_survival(beta, receivers)
+    dense = _DenseEscape(g.n, receivers, sources, log_s)
+    edge = _EdgeEscape(g.n, receivers, sources, log_s)
     for kernel in (dense, edge):
         out = np.empty(infected.shape)
         kernel(infected, kernel.scratch(infected.shape), out)
         sums.append(out)
-    log_s = _log_survival(_rate_arrays(g, r)[0])
+    log_s = dense_log_survival(g, r)
     backward = np.zeros(infected.shape)
     for row, state in enumerate(infected):
         for v in range(g.n):
