@@ -146,7 +146,8 @@ class TestOptimalRemoval:
 
     @settings(max_examples=100, deadline=None)
     @given(graphs_and_budgets(), st.integers(0, 2**32 - 1))
-    # The kept leaf holds 0.13 % of x's mass: the closed form is off by 1.8e-12.
+    # One kept leaf holds 0.013 % of x's mass, where the closed form is off by
+    # 1.8e-12: that row must fall under _MIN_MASS.
     @example((star_graph(4), 4), 4874454)
     def test_rayleigh_bound_is_the_zeroed_quotient(self, case, seed):
         """For any unit x, the bound is the Rayleigh quotient of x with the
