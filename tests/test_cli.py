@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -39,6 +43,25 @@ def star_file(tmp_path):
     path = tmp_path / "star.edges"
     path.write_text("".join(f"0 {i}\n" for i in range(1, 5)))
     return str(path)
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m netimmune`` is the CLI, and ``import netimmune`` does not
+    load the entry module."""
+    from netimmune import __version__
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def python(*args):
+        run = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                             env=env, timeout=60, check=False)
+        return run.returncode, run.stdout
+
+    assert python("-m", "netimmune", "--version") == (0, f"netimmune {__version__}\n")
+    check = "import sys, netimmune; print('netimmune.__main__' in sys.modules)"
+    assert python("-c", check) == (0, "False\n")
 
 
 class TestRankCommand:

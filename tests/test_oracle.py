@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from netimmune import (
     Graph,
     av11_select,
     gap_report,
+    ieee118_graph,
     masked_adjacency,
     optimal_removal,
     separation_lower_bound,
@@ -159,7 +161,7 @@ class TestOptimalRemoval:
         x /= np.linalg.norm(x)
         subsets = np.array(list(combinations(range(g.n), k)), dtype=np.intp)
         subsets = subsets.reshape(math.comb(g.n, k), k)
-        bounds = oracle._rayleigh_bounds(a, x, a @ x, subsets)
+        bounds = oracle._rayleigh_bounds(a, x[:, None], (a @ x)[:, None], subsets)
         for row, bound, lam in zip(subsets, bounds, loop_residuals(g, k)):
             y = x.copy()
             y[row] = 0.0
@@ -167,6 +169,61 @@ class TestOptimalRemoval:
             expected = y @ a @ y / mass if mass > oracle._MIN_MASS else -np.inf
             assert bound == pytest.approx(expected, rel=1e-12, abs=1e-12)
             assert bound <= lam + 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_and_budgets(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    # Two disjoint C5: lambda_1 = 2 twice and 0.618 twice, so the top four
+    # eigenvectors are any orthonormal basis of those eigenspaces.
+    @example((disjoint_copies(Graph(5, [(i, (i + 1) % 5) for i in range(5)])), 2), 4, 0)
+    # One kept leaf holds 0.013 % of the block's mass: that row must fall
+    # under _MIN_MASS.
+    @example((star_graph(4), 4), 1, 4874454)
+    # Two rows keep a rank-4 block whose Gram matrix has least eigenvalue
+    # 3.1e-3 and 3.7e-3, under _MIN_MASS: both must be -inf.
+    @example((star_graph(4), 1), 4, 1)
+    def test_block_bound_is_the_ritz_value(self, case, rank, seed):
+        """For a random orthonormal block V and for the top eigenvectors of A,
+        the bound is the largest Ritz value of A on V with the subset's rows
+        zeroed (-inf exactly where its Gram matrix keeps at most _MIN_MASS)
+        and never exceeds the exact residual."""
+        g, k = case
+        a = g.adjacency_matrix()
+        r = min(rank, g.n)
+        random_block = np.linalg.qr(np.random.default_rng(seed).standard_normal((g.n, r)))[0]
+        top = np.linalg.eigh(a)[1][:, -r:]
+        subsets = np.array(list(combinations(range(g.n), k)), dtype=np.intp)
+        subsets = subsets.reshape(math.comb(g.n, k), k)
+        residuals = loop_residuals(g, k)
+        scale = max(1.0, lam1(a))
+        for v in (random_block, top):
+            bounds = oracle._rayleigh_bounds(a, v, a @ v, subsets)
+            for row, bound, lam in zip(subsets, bounds, residuals):
+                y = v.copy()
+                y[row] = 0.0
+                gram = y.T @ y
+                if np.linalg.eigvalsh(gram)[0] > oracle._MIN_MASS:
+                    ritz = scipy.linalg.eigh(y.T @ a @ y, gram, eigvals_only=True)[-1]
+                    assert abs(bound - ritz) <= 1e-12 * scale
+                else:
+                    assert bound == -np.inf
+                assert bound <= lam + oracle._SLACK * scale
+
+    def test_ieee118_solves_few_subsets(self, monkeypatch):
+        """The rank-4 bound leaves at most 48 of IEEE 118's 6,903 pairs to
+        solve exactly (a rank-1 bound leaves 480)."""
+        solved = []
+        residuals = oracle._residuals
+
+        def counted(a, subsets):
+            solved.append(len(subsets))
+            return residuals(a, subsets)
+
+        monkeypatch.setattr(oracle, "_residuals", counted)
+        g = ieee118_graph()
+        best, lam, _ = optimal_removal(g, 2)
+        assert sum(solved) <= 48
+        assert best == (48, 99)
+        assert lam == lam1(masked_adjacency(g, best))
 
     def test_table_row_matches_av11_residual(self):
         for seed in range(4):
