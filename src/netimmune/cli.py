@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -26,13 +27,12 @@ from .graph import GraphFormatError, Strategy
 from .harness import (
     ExperimentConfig,
     default_seeds,
-    load_config,
     rate_seed_for,
     resolve_graph,
     run_compare,
     write_outputs,
 )
-from .oracle import gap_report, optimal_removal, write_enumeration_csv
+from .oracle import gap_report, removal_table, write_enumeration_csv
 from .spectral import DEFAULT_POWER, spectrum
 from .strategies import compute_ranking
 
@@ -87,10 +87,15 @@ def cmd_rank(args) -> int:
 def cmd_compare(args) -> int:
     if args.graph is None and args.config is None:
         raise ValueError("no graph given (use --graph or a config file)")
-    obj = load_config(args.config).to_json_obj() if args.config else {"budget": "16%"}
-    for f in fields(ExperimentConfig):
-        if getattr(args, f.name, None) is not None:
-            obj[f.name] = getattr(args, f.name)
+    obj = {"budget": "16%"}
+    if args.config:
+        obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    # Flags replace the file's values before any is checked, so a flag can
+    # stand in for a bad one; from_json_obj rejects a file that is no object.
+    if isinstance(obj, dict):
+        for f in fields(ExperimentConfig):
+            if getattr(args, f.name, None) is not None:
+                obj[f.name] = getattr(args, f.name)
     config = ExperimentConfig.from_json_obj(obj)
 
     table = run_compare(config)
@@ -154,9 +159,8 @@ def cmd_oracle(args) -> int:
     print(f"av11 residual lambda_1 = {report.av11_lambda1:.6f} "
           f"set = {list(report.av11_set)}")
     if args.table:
-        _, _, table = optimal_removal(g, args.k, keep_table=True)
         with open(args.table, "w", encoding="utf-8", newline="") as f:
-            write_enumeration_csv(table, f)
+            write_enumeration_csv(removal_table(g, args.k), f)
         print(f"wrote {args.table}")
     return 0
 

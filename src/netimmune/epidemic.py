@@ -50,6 +50,9 @@ _POWER_STEPS = 128
 _MAX_SOLVES = 24
 _SHIFT = 2.0 ** -40
 
+# Width of the beta scale at which scale_rates_to_threshold stops bisecting.
+_SCALE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class RateModel:
@@ -642,8 +645,7 @@ def most_infected_ranking(g: Graph, r: RateModel,
     return Ranking.from_scores(Strategy.MOST_INFECTED, totals)
 
 
-def scale_rates_to_threshold(g: Graph, r: RateModel, target: float,
-                             tol: float = 1e-10) -> RateModel:
+def scale_rates_to_threshold(g: Graph, r: RateModel, target: float) -> RateModel:
     """Rescale all betas by a common factor so lambda_M hits ``target``.
 
     The Perron root grows monotonically with the scale, so bisection
@@ -675,9 +677,9 @@ def scale_rates_to_threshold(g: Graph, r: RateModel, target: float,
         raise ValueError(f"target {target} unreachable with beta <= 1 "
                          f"(max lambda_M = {lam(hi, _RTOL):.6f})")
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > _SCALE_TOL:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: tol is below their spacing
+        if not lo < mid < hi:  # adjacent floats: _SCALE_TOL is below their spacing
             break
         if lam(mid) < target:
             lo = mid

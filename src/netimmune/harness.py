@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import IO
 
 import numpy as np
@@ -34,7 +33,7 @@ from .graph import (
     ieee118_graph,
     load_graph_path,
 )
-from .spectral import DEFAULT_POWER
+from .spectral import DEFAULT_POWER, _check_power
 from .strategies import compute_ranking
 
 # Spawn-key prefixes for drawing the rate model / default seed set out of
@@ -114,7 +113,7 @@ _FIELDS = {
     "steps": _int,
     "trials": _int,
     "master_seed": _int,
-    "power": _int,
+    "power": _check_power,
     "calibration_trials": _int,
     "output_csv": _text,
     "output_json": _text,
@@ -189,10 +188,6 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def load_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_json_obj(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
 def resolve_graph(graph: str, fmt: str | None = None, relabel: bool = False) -> Graph:
     """Load ``graph``: a file path, or "ieee118" for the bundled IEEE 118-bus case."""
     if graph == "ieee118":
@@ -200,15 +195,14 @@ def resolve_graph(graph: str, fmt: str | None = None, relabel: bool = False) -> 
     return load_graph_path(graph, fmt, relabel=relabel)
 
 
-def default_seeds(g: Graph, master_seed: int, count: int | None = None) -> tuple[int, ...]:
+def default_seeds(g: Graph, master_seed: int) -> tuple[int, ...]:
     """Default infection sources: ~5% of nodes drawn deterministically.
 
     Cascades are initiated from several points spread over the network; a
     single source makes the comparison degenerate (any ranking that happens
     to cover that one neighborhood quarantines the infection outright).
     """
-    if count is None:
-        count = max(1, round(0.05 * g.n))
+    count = max(1, round(0.05 * g.n))
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(_SEED_STREAM,)))
     return tuple(sorted(int(x) for x in rng.choice(g.n, size=count, replace=False)))

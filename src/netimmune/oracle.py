@@ -7,7 +7,7 @@ value of A on any subspace that is zero on S. The top eigenvectors of A
 with their rows on S zeroed span such a subspace. A cheap rank-1 bound
 screens every subset, a rank-4 bound refines the survivors, and only
 subsets whose bound can still tie or beat the best residual are solved.
-The table mode still solves every subset. The oracle caps the instance
+``removal_table`` solves every subset instead. The oracle caps the instance
 size and exists to measure what the greedy selection trades away and to
 cross-check the interlacing floor.
 """
@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import asdict, dataclass
 from itertools import chain, combinations, islice
 from typing import IO
 
@@ -81,22 +81,20 @@ def _check_guard(n: int, k: int) -> None:
         raise CombinationGuardError(n, k, count)
 
 
-def optimal_removal(g: Graph, k: int, *, keep_table: bool = False,
-                    ) -> tuple[tuple[int, ...], float, list[tuple[tuple[int, ...], float]] | None]:
+def optimal_removal(g: Graph, k: int) -> tuple[tuple[int, ...], float]:
     """Minimum residual lambda_1 over all k-subsets.
 
-    Returns (best subset, its residual lambda_1, enumeration table or None).
-    The best subset is the lexicographically smallest one whose residual is
-    within 1e-9 of the minimum; the table lists every (subset, residual
-    lambda_1) in enumeration order.
+    Returns (best subset, its residual lambda_1). The best subset is the
+    lexicographically smallest one whose residual is within 1e-9 of the
+    minimum; ``removal_table`` lists every subset's residual instead.
 
-    Without a table the search is exact but pruned. Let V hold the top r
-    eigenvectors of A and Y be V with the rows of a subset S zeroed. Every
-    vector in span(Y) is zero on S, so by Courant-Fischer lambda_1(A - S)
-    is at least the largest eigenvalue of the pencil (Y'AY, Y'Y); at r = 1
-    that is the Rayleigh quotient of the top eigenvector with S zeroed.
-    Where the least eigenvalue of Y'Y is at most ``_MIN_MASS`` the bound is
-    -inf and the subset is always solved.
+    The search is exact but pruned. Let V hold the top r eigenvectors of A
+    and Y be V with the rows of a subset S zeroed. Every vector in span(Y)
+    is zero on S, so by Courant-Fischer lambda_1(A - S) is at least the
+    largest eigenvalue of the pencil (Y'AY, Y'Y); at r = 1 that is the
+    Rayleigh quotient of the top eigenvector with S zeroed. Where the least
+    eigenvalue of Y'Y is at most ``_MIN_MASS`` the bound is -inf and the
+    subset is always solved.
 
     Subsets are enumerated in chunks, and each chunk goes through two
     stages. The rank-1 bound screens every subset of the chunk (while no
@@ -105,61 +103,67 @@ def optimal_removal(g: Graph, k: int, *, keep_table: bool = False,
     solved in ascending order of it. A stage drops a subset, and the
     solving stops, once its bound exceeds the least residual so far by more
     than the tie tolerance plus a round-off slack, since no such subset can
-    tie or beat it. With ``keep_table`` every subset is solved. Both return
-    the same subset and residual, bit for bit.
+    tie or beat it. The result equals the tie rule applied to
+    ``removal_table``, bit for bit.
     """
     _check_guard(g.n, k)
     a = g.adjacency_matrix()
-    slack = 0.0
-    if not keep_table:
-        w, v = np.linalg.eigh(a)
-        v = v[:, -_RANK:]
-        av = a @ v
-        slack = _SLACK * max(1.0, float(w[-1]))
-        refine = max(1, _CHUNK_BYTES // (8 * (k + 3 * v.shape[1]) ** 2))
-    batch = max(1, min(_SOLVE_BATCH, _CHUNK_BYTES // (8 * g.n * g.n)))
+    w, v = np.linalg.eigh(a)
+    v = v[:, -_RANK:]
+    av = a @ v
+    slack = _SLACK * max(1.0, float(w[-1]))
+    refine = max(1, _CHUNK_BYTES // (8 * (k + 3 * v.shape[1]) ** 2))
+    batch = _solve_batch(g.n)
     best_lam = math.inf
     # Candidates in enumeration (lexicographic) order with strictly falling
     # residuals, all within _TIE_TOL of the least so far: a later subset that
     # does not undercut every earlier candidate can never be the answer.
     stairs: list[tuple[tuple[int, ...], float]] = []
-    table: list[tuple[tuple[int, ...], float]] | None = [] if keep_table else None
-    for subsets in _subset_chunks(g.n, k):
+    for subsets in _subset_chunks(g.n, k, max(1, _CHUNK_BYTES // (8 * (k + 2) ** 2))):
         residuals = np.full(len(subsets), np.nan)
-        if keep_table:
-            lb = np.full(len(subsets), -np.inf)
-            order = np.arange(len(subsets))
-        else:
-            lb = _rayleigh_bounds(a, v[:, -1:], av[:, -1:], subsets)
-            order = np.argsort(lb, kind="stable")
-            if best_lam == math.inf:
-                first, order = order[:batch], order[batch:]
-                residuals[first] = _residuals(a, subsets[first])
-                best_lam = float(residuals[first].min())
-            order = order[lb[order] <= best_lam + _TIE_TOL + slack]
-            for start in range(0, len(order), refine):
-                rows = order[start:start + refine]
-                lb[rows] = _rayleigh_bounds(a, v, av, subsets[rows])
-            order = order[np.argsort(lb[order], kind="stable")]
+        lb = _rayleigh_bounds(a, v[:, -1:], av[:, -1:], subsets)
+        order = np.argsort(lb, kind="stable")
+        if best_lam == math.inf:
+            first, order = order[:batch], order[batch:]
+            residuals[first] = _residuals(a, subsets[first])
+            best_lam = float(residuals[first].min())
+        order = order[lb[order] <= best_lam + _TIE_TOL + slack]
+        for start in range(0, len(order), refine):
+            rows = order[start:start + refine]
+            lb[rows] = _rayleigh_bounds(a, v, av, subsets[rows])
+        order = order[np.argsort(lb[order], kind="stable")]
         for start in range(0, len(order), batch):
             if lb[order[start]] > best_lam + _TIE_TOL + slack:
                 break
             rows = order[start:start + batch]
             residuals[rows] = _residuals(a, subsets[rows])
             best_lam = min(best_lam, float(residuals[rows].min()))
-        if table is not None:
-            table.extend(zip(map(tuple, subsets.tolist()), residuals.tolist()))
         for i in np.flatnonzero(residuals <= best_lam + _TIE_TOL):
             if not stairs or residuals[i] < stairs[-1][1]:
                 stairs.append((tuple(subsets[i].tolist()), float(residuals[i])))
         stairs = [c for c in stairs if c[1] <= best_lam + _TIE_TOL]
-    best_set, best_lam = stairs[0]
-    return best_set, best_lam, table
+    return stairs[0]
 
 
-def _subset_chunks(n: int, k: int) -> Iterator[np.ndarray]:
+def removal_table(g: Graph, k: int) -> Iterator[tuple[tuple[int, ...], float]]:
+    """Every (k-subset, residual lambda_1) in lexicographic order, solved lazily.
+
+    Rows are computed one stacked eigvalsh batch at a time as they are
+    consumed, so streaming them to a file holds one batch, not the table.
+    """
+    _check_guard(g.n, k)
+    a = g.adjacency_matrix()
+    for subsets in _subset_chunks(g.n, k, _solve_batch(g.n)):
+        yield from zip(map(tuple, subsets.tolist()), _residuals(a, subsets).tolist())
+
+
+def _solve_batch(n: int) -> int:
+    """Subsets per eigvalsh call: at most _SOLVE_BATCH and _CHUNK_BYTES of masked copies."""
+    return max(1, min(_SOLVE_BATCH, _CHUNK_BYTES // (8 * n * n)))
+
+
+def _subset_chunks(n: int, k: int, rows: int) -> Iterator[np.ndarray]:
     """The k-subsets of range(n) in lexicographic order, as (rows, k) index arrays."""
-    rows = max(1, _CHUNK_BYTES // (8 * (k + 2) ** 2))
     it = combinations(range(n), k)
     total = math.comb(n, k)
     for start in range(0, total, rows):
@@ -225,16 +229,8 @@ class GapReport:
     av11_lambda1: float
 
     def to_json_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "power": self.power,
-            "floor_raw": self.floor_raw,
-            "floor_clamped": self.floor_clamped,
-            "optimal_set": list(self.optimal_set),
-            "optimal_lambda1": self.optimal_lambda1,
-            "av11_set": list(self.av11_set),
-            "av11_lambda1": self.av11_lambda1,
-        }
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in asdict(self).items()}
 
 
 def gap_report(g: Graph, k: int, power: int = DEFAULT_POWER) -> GapReport:
@@ -244,9 +240,9 @@ def gap_report(g: Graph, k: int, power: int = DEFAULT_POWER) -> GapReport:
     be negative; the clamped value max(floor, 0) is reported alongside since
     the residual lambda_1 of a simple graph is never negative.
     """
-    _check_guard(g.n, k)
-    best_set, best_lam, _ = optimal_removal(g, k)
+    # AV11 first: it rejects a bad power before the exact search runs.
     av11_set, av11_lam = av11_select(g, k, power=power)
+    best_set, best_lam = optimal_removal(g, k)
     floor = separation_lower_bound(spectrum(g), k) if k < g.n else 0.0
     return GapReport(
         k=k,
@@ -260,8 +256,8 @@ def gap_report(g: Graph, k: int, power: int = DEFAULT_POWER) -> GapReport:
     )
 
 
-def write_enumeration_csv(table: list[tuple[tuple[int, ...], float]], out: IO[str]) -> None:
-    """Dump an optimal_removal table as CSV rows (subset, residual lambda_1)."""
+def write_enumeration_csv(table: Iterable[tuple[tuple[int, ...], float]], out: IO[str]) -> None:
+    """Write (subset, residual lambda_1) rows, such as ``removal_table``'s, as CSV."""
     writer = csv.writer(out)
     writer.writerow(["subset", "residual_lambda1"])
     for subset, lam in table:

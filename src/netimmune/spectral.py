@@ -81,9 +81,10 @@ def _lambda_1(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(matrix)[-1])
 
 
-def _check_power(p: int) -> None:
+def _check_power(p: int) -> int:
     if not isinstance(p, int) or p <= 0 or p % 2 != 0:
         raise ValueError(f"power must be a positive even integer, got {p!r}")
+    return p
 
 
 def _argmax_lowest_id(values: np.ndarray) -> int:

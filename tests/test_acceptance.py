@@ -127,7 +127,7 @@ def test_separation_chain_small_graphs():
             if k >= n:
                 continue
             floor = separation_lower_bound(spec, k)
-            _, opt_lam, _ = optimal_removal(g, k)
+            _, opt_lam = optimal_removal(g, k)
             _, av11_lam = av11_select(g, k)
             if not (floor - 1e-9 <= opt_lam <= av11_lam + 1e-9):
                 violations += 1

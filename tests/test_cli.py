@@ -16,6 +16,7 @@ from netimmune import (
     ExperimentConfig,
     Strategy,
     build_rates,
+    cli,
     epidemic,
     modified_matrix,
     strategies,
@@ -408,6 +409,17 @@ class TestHarnessPieces:
             calibration_trials=11, output_csv="t.csv", output_json="t.json")
         assert ExperimentConfig.from_json_obj(
             json.loads(json.dumps(everything.to_json_obj()))) == everything
+
+    def test_config_rejects_odd_power(self, p3_file, monkeypatch, capsys):
+        with pytest.raises(ValueError, match="power must be a positive even integer"):
+            ExperimentConfig.from_json_obj({"graph": "ieee118", "budget": "5", "power": 3})
+
+        def run(config):
+            raise AssertionError("the comparison ran")
+
+        monkeypatch.setattr(cli, "run_compare", run)
+        assert main(["compare", "--graph", p3_file, "--budget", "1", "--power", "3"]) == 3
+        assert "power must be a positive even integer" in capsys.readouterr().err
 
     def test_rows_sorted_ascending_and_pct(self, tmp_path):
         import networkx as nx

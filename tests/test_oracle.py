@@ -21,7 +21,7 @@ from netimmune import (
     trace_power_bound,
 )
 from netimmune import oracle
-from netimmune.oracle import write_enumeration_csv
+from netimmune.oracle import removal_table, write_enumeration_csv
 
 from conftest import disjoint_copies, gnp_graphs, random_graph, star_graph
 
@@ -69,22 +69,22 @@ def graphs_and_budgets(draw):
 
 class TestOptimalRemoval:
     def test_c4_antipodal_pair(self, c4):
-        best, lam, _ = optimal_removal(c4, 2)
+        best, lam = optimal_removal(c4, 2)
         assert best == (0, 2)  # ties with {1, 3}; lexicographic wins
         assert lam == pytest.approx(0.0, abs=1e-12)
 
     def test_star_hub(self, star5):
-        best, lam, _ = optimal_removal(star5, 1)
+        best, lam = optimal_removal(star5, 1)
         assert best == (0,)
         assert lam == pytest.approx(0.0, abs=1e-12)
 
     def test_p3_center(self, p3):
-        best, lam, _ = optimal_removal(p3, 1)
+        best, lam = optimal_removal(p3, 1)
         assert best == (1,)
         assert lam == pytest.approx(0.0, abs=1e-12)
 
     def test_k0_noop(self, k4):
-        best, lam, _ = optimal_removal(k4, 0)
+        best, lam = optimal_removal(k4, 0)
         assert best == ()
         assert lam == pytest.approx(3.0, abs=1e-12)
 
@@ -96,30 +96,30 @@ class TestOptimalRemoval:
         assert str(math.comb(40, 12)) in str(exc.value)
 
     def test_table_covers_all_subsets(self, c4):
-        _, _, table = optimal_removal(c4, 2, keep_table=True)
+        table = list(removal_table(c4, 2))
         assert [s for s, _ in table] == list(combinations(range(4), 2))
 
     def test_k0_is_lambda1_of_a(self):
         g = random_graph(9, 0.4, 3)
-        assert optimal_removal(g, 0)[:2] == ((), lam1(g.adjacency_matrix()))
+        assert optimal_removal(g, 0) == ((), lam1(g.adjacency_matrix()))
 
     def test_k_equals_n_removes_everything(self, c4):
-        assert optimal_removal(c4, 4)[:2] == ((0, 1, 2, 3), 0.0)
+        assert optimal_removal(c4, 4) == ((0, 1, 2, 3), 0.0)
 
     def test_edgeless_graph(self):
-        assert optimal_removal(Graph(5, []), 2)[:2] == ((0, 1), 0.0)
+        assert optimal_removal(Graph(5, []), 2) == ((0, 1), 0.0)
 
     def test_disconnected_degenerate_lambda1(self):
         # Two disjoint K4s: lambda_1 = 3 twice, so the top eigenvector is any
         # mix of the two blocks. One node from each block leaves two K3s.
         g = disjoint_copies(Graph(4, list(combinations(range(4), 2))))
-        best, lam, table = optimal_removal(g, 2, keep_table=True)
-        assert (best, lam) == tie_rule(table) == optimal_removal(g, 2)[:2]
+        best, lam = optimal_removal(g, 2)
+        assert (best, lam) == tie_rule(list(removal_table(g, 2)))
         assert best == (0, 4)
         assert lam == pytest.approx(2.0, abs=1e-12)
 
     def test_complete_graph_all_ties(self):
-        best, lam, _ = optimal_removal(Graph(12, list(combinations(range(12), 2))), 3)
+        best, lam = optimal_removal(Graph(12, list(combinations(range(12), 2))), 3)
         assert best == (0, 1, 2)
         assert lam == pytest.approx(8.0, abs=1e-12)
 
@@ -140,8 +140,8 @@ class TestOptimalRemoval:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_TIE_TOL", tol)
             mp.setattr(oracle, "_CHUNK_BYTES", chunk_bytes)
-            pruned = optimal_removal(g, k)[:2]
-            _, _, table = optimal_removal(g, k, keep_table=True)
+            pruned = optimal_removal(g, k)
+            table = list(removal_table(g, k))
         assert [s for s, _ in table] == list(combinations(range(g.n), k))
         assert np.array_equal([lam for _, lam in table], loop_residuals(g, k))
         assert pruned == tie_rule(table, tol)
@@ -220,18 +220,38 @@ class TestOptimalRemoval:
 
         monkeypatch.setattr(oracle, "_residuals", counted)
         g = ieee118_graph()
-        best, lam, _ = optimal_removal(g, 2)
+        best, lam = optimal_removal(g, 2)
         assert sum(solved) <= 48
         assert best == (48, 99)
         assert lam == lam1(masked_adjacency(g, best))
+
+    def test_table_is_lazy(self, monkeypatch):
+        """The first row costs one eigvalsh batch, not the whole table."""
+        solved = []
+        residuals = oracle._residuals
+
+        def counted(a, subsets):
+            solved.append(len(subsets))
+            return residuals(a, subsets)
+
+        monkeypatch.setattr(oracle, "_residuals", counted)
+        rows = removal_table(random_graph(30, 0.2, 0), 4)
+        next(rows)
+        assert len(solved) == 1
+        assert solved[0] <= oracle._SOLVE_BATCH
+
+    def test_table_guard_before_any_row(self):
+        rows = removal_table(random_graph(40, 0.2, 0), 12)
+        with pytest.raises(CombinationGuardError) as exc:
+            next(rows)
+        assert exc.value.count == math.comb(40, 12)
 
     def test_table_row_matches_av11_residual(self):
         for seed in range(4):
             g = random_graph(9, 0.35, seed)
             k = 2
             av11_set, av11_lam = av11_select(g, k)
-            _, _, table = optimal_removal(g, k, keep_table=True)
-            row = dict(table)[tuple(sorted(av11_set))]
+            row = dict(removal_table(g, k))[tuple(sorted(av11_set))]
             assert row == pytest.approx(av11_lam, abs=1e-9)
 
 
@@ -248,6 +268,14 @@ class TestGapReport:
         assert rep.floor_clamped == 0.0
         assert rep.optimal_lambda1 == pytest.approx(2.0, abs=1e-9)
         assert rep.av11_lambda1 == pytest.approx(2.0, abs=1e-9)
+
+    def test_bad_power_rejected_before_the_search(self, monkeypatch):
+        def search(g, k):
+            raise AssertionError("the exact search ran")
+
+        monkeypatch.setattr(oracle, "optimal_removal", search)
+        with pytest.raises(ValueError, match="power must be a positive even integer"):
+            gap_report(random_graph(9, 0.4, 3), 2, power=3)
 
     def test_k0_everything_equals_lambda1(self, c4):
         rep = gap_report(c4, 0)
@@ -290,7 +318,7 @@ class TestGapReport:
 
 class TestCsvExport:
     def test_columns_and_rows(self, c4):
-        _, _, table = optimal_removal(c4, 2, keep_table=True)
+        table = list(removal_table(c4, 2))
         buf = io.StringIO()
         write_enumeration_csv(table, buf)
         lines = buf.getvalue().strip().splitlines()
