@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, Ranking, Strategy
+from .graph import Graph, Ranking, Strategy, _json_obj
 
 # Spawn-key prefix separating calibration draws from comparison trials.
 _CALIBRATION_STREAM = 104729
@@ -126,11 +126,9 @@ def build_rates(g: Graph, beta_range: Sequence[float], delta_range: Sequence[flo
     blo, bhi = _check_range("beta", beta_range)
     dlo, dhi = _check_range("delta", delta_range)
     rng = np.random.default_rng(seed)
-    beta: dict[tuple[int, int], float] = {}
-    for u, v in sorted(g.edges):
-        beta[(u, v)] = float(rng.uniform(blo, bhi))
-        beta[(v, u)] = float(rng.uniform(blo, bhi))
-    delta = {i: float(rng.uniform(dlo, dhi)) for i in range(g.n)}
+    pairs = [p for u, v in sorted(g.edges) for p in ((u, v), (v, u))]
+    beta = dict(zip(pairs, rng.uniform(blo, bhi, len(pairs)).tolist()))
+    delta = dict(enumerate(rng.uniform(dlo, dhi, g.n).tolist()))
     return RateModel(beta=beta, delta=delta, beta_range=(blo, bhi),
                      delta_range=(dlo, dhi), seed=seed)
 
@@ -383,13 +381,7 @@ class SimulationOutcome:
     params: dict = field(repr=False)
 
     def to_json_obj(self) -> dict:
-        return {
-            "infected_counts": list(self.infected_counts),
-            "final_infected": list(self.final_infected),
-            "trial_index": self.trial_index,
-            "trial_seed": self.trial_seed,
-            "params": self.params,
-        }
+        return _json_obj(self)
 
 
 @dataclass(frozen=True)

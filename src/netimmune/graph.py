@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from importlib import resources
+from itertools import islice
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -192,11 +193,23 @@ class Ranking:
         return list(self.order[:k])
 
     def to_json_obj(self) -> dict:
-        return {
-            "strategy": self.strategy.value,
-            "order": list(self.order),
-            "scores": list(self.scores),
-        }
+        return _json_obj(self)
+
+
+def _json_obj(value):
+    """JSON data of a record: a dataclass becomes a dict of its fields in
+    declaration order (a BudgetSpec keeps only its one set key), tuples become
+    lists and enums their values, recursively."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_json_obj(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    obj = {f.name: _json_obj(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, BudgetSpec):
+        return {k: v for k, v in obj.items() if v is not None}
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +268,8 @@ def load_graph(source: str | bytes | IO, fmt: GraphFormat | str,
         return Graph(len(ids), edges, labels=[str(i) for i in ids])
     n = ids[-1] + 1
     if len(ids) != n:
-        missing = sorted(set(range(n)) - set(ids))
+        gaps = (m for a, b in zip([-1] + ids, ids) for m in range(a + 1, b))
+        missing = list(islice(gaps, 6))
         shown = ", ".join(map(str, missing[:5])) + (", ..." if len(missing) > 5 else "")
         raise GraphFormatError(
             f"node ids are not contiguous 0..{n - 1} (missing {shown}); "

@@ -30,6 +30,7 @@ from .graph import (
     Graph,
     Strategy,
     _is_int,
+    _json_obj,
     ieee118_graph,
     load_graph_path,
 )
@@ -46,12 +47,14 @@ def _budget_spec(value) -> BudgetSpec:
     """A budget as text ("19", "16%", "0.16") or as {"count": k} or {"fraction": f}."""
     if isinstance(value, str):
         return BudgetSpec.parse(value)
-    if isinstance(value, dict) and value.get("count") is not None:
-        return BudgetSpec.from_count(_int(value["count"]))
-    if isinstance(value, dict) and _is_number(value.get("fraction")):
-        return BudgetSpec.from_fraction(value["fraction"])
-    raise ValueError('budget must be text or an object with integer "count" or '
-                     'numeric "fraction"')
+    if isinstance(value, dict) and value.keys() <= {"count", "fraction"}:
+        count, fraction = value.get("count"), value.get("fraction")
+        if fraction is None and count is not None:
+            return BudgetSpec.from_count(_int(count))
+        if count is None and _is_number(fraction):
+            return BudgetSpec.from_fraction(fraction)
+    raise ValueError('budget must be text or an object with exactly one of integer '
+                     '"count" and numeric "fraction"')
 
 
 def _is_number(v) -> bool:
@@ -100,13 +103,13 @@ def _flag(value) -> bool:
     return value
 
 
-# ExperimentConfig field -> converter from its JSON value.
+# ExperimentConfig field -> converter from its JSON value, in field order.
 _FIELDS = {
     "graph": _text,
-    "budget": _budget_spec,
-    "seeds": _seeds,
     "graph_format": _text,
     "relabel": _flag,
+    "budget": _budget_spec,
+    "seeds": _seeds,
     "strategies": _strategies,
     "beta_range": _range,
     "delta_range": _range,
@@ -120,15 +123,18 @@ _FIELDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Fully describes one comparison run; JSON round-trips losslessly."""
+    """Fully describes one comparison run; JSON round-trips losslessly.
+
+    The JSON form lists the fields in declaration order.
+    """
 
     graph: str
-    budget: BudgetSpec
-    seeds: tuple[int, ...] | None = None
     graph_format: str | None = None
     relabel: bool = False
+    budget: BudgetSpec
+    seeds: tuple[int, ...] | None = None
     strategies: tuple[Strategy, ...] = DEFAULT_COMPARISON_STRATEGIES
     beta_range: tuple[float, float] = (0.1, 0.4)
     delta_range: tuple[float, float] = (0.2, 0.5)
@@ -141,31 +147,17 @@ class ExperimentConfig:
     output_json: str | None = None
 
     def to_json_obj(self) -> dict:
-        budget = ({"count": self.budget.count} if self.budget.count is not None
-                  else {"fraction": self.budget.fraction})
-        return {
-            "graph": self.graph,
-            "graph_format": self.graph_format,
-            "relabel": self.relabel,
-            "budget": budget,
-            "seeds": list(self.seeds) if self.seeds is not None else None,
-            "strategies": [s.value for s in self.strategies],
-            "beta_range": list(self.beta_range),
-            "delta_range": list(self.delta_range),
-            "steps": self.steps,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "power": self.power,
-            "calibration_trials": self.calibration_trials,
-            "output_csv": self.output_csv,
-            "output_json": self.output_json,
-        }
+        return _json_obj(self)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
         """Build a config from its JSON form; absent or null optional keys take the defaults."""
         if not isinstance(obj, dict):
             raise ValueError("experiment config must be a JSON object")
+        unknown = [key for key in obj if key not in _FIELDS]
+        if unknown:
+            raise ValueError(f"experiment config has unknown key(s) "
+                             f"{', '.join(map(repr, unknown))}")
         for key in ("graph", "budget"):
             if obj.get(key) is None:
                 raise ValueError(f"experiment config is missing the required key {key!r}")
@@ -210,12 +202,12 @@ def default_seeds(g: Graph, master_seed: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class StrategyResult:
+    rank: int
     strategy: Strategy
     immunized: tuple[int, ...]
     mean_final_infected: float
     std_final_infected: float
     pct_of_n: float
-    rank: int
     final_counts: tuple[int, ...]
     mean_trajectory: tuple[float, ...]
 
@@ -224,10 +216,10 @@ class StrategyResult:
 class ComparisonTable:
     """Per-strategy aggregate rows, sorted ascending by mean final infected."""
 
-    rows: tuple[StrategyResult, ...]
     config: ExperimentConfig
     n: int
     budget_k: int
+    rows: tuple[StrategyResult, ...]
 
     def row(self, strategy: Strategy | str) -> StrategyResult:
         strategy = Strategy(strategy)
@@ -319,26 +311,8 @@ def write_table_csv(table: ComparisonTable, out: IO[str]) -> None:
 
 
 def table_json_obj(table: ComparisonTable) -> dict:
-    return {
-        "version": __version__,
-        "config_sha256": table.config.config_sha256(),
-        "config": table.config.to_json_obj(),
-        "n": table.n,
-        "budget_k": table.budget_k,
-        "rows": [
-            {
-                "rank": r.rank,
-                "strategy": r.strategy.value,
-                "immunized": list(r.immunized),
-                "mean_final_infected": r.mean_final_infected,
-                "std_final_infected": r.std_final_infected,
-                "pct_of_n": r.pct_of_n,
-                "final_counts": list(r.final_counts),
-                "mean_trajectory": list(r.mean_trajectory),
-            }
-            for r in table.rows
-        ],
-    }
+    return {"version": __version__, "config_sha256": table.config.config_sha256(),
+            **_json_obj(table)}
 
 
 def write_outputs(table: ComparisonTable) -> list[str]:

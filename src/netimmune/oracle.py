@@ -17,13 +17,13 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from typing import IO
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _json_obj
 from .spectral import DEFAULT_POWER, av11_select, separation_lower_bound, spectrum
 
 SUBSET_LIMIT = 10_000_000
@@ -229,8 +229,7 @@ class GapReport:
     av11_lambda1: float
 
     def to_json_obj(self) -> dict:
-        return {name: list(value) if isinstance(value, tuple) else value
-                for name, value in asdict(self).items()}
+        return _json_obj(self)
 
 
 def gap_report(g: Graph, k: int, power: int = DEFAULT_POWER) -> GapReport:

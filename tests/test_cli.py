@@ -343,6 +343,16 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "'strategies'" in err and message in err
 
+    def test_unknown_config_key_exits_3(self, p3_file, tmp_path, monkeypatch, capsys):
+        def run(config):
+            raise AssertionError("the comparison ran")
+
+        monkeypatch.setattr(cli, "run_compare", run)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": p3_file, "budget": "1", "trails": 3}))
+        assert main(["compare", "--config", str(cfg)]) == 3
+        assert "unknown key(s) 'trails'" in capsys.readouterr().err
+
     def test_flags_override_config_fields(self, p3_file, tmp_path, capsys):
         cfg, csv_out, json_out = (tmp_path / name for name in ("cfg.json", "t.csv", "t.json"))
         cfg.write_text(json.dumps({"graph": "ieee118", "budget": "5", "steps": 50,
@@ -409,6 +419,26 @@ class TestHarnessPieces:
             calibration_trials=11, output_csv="t.csv", output_json="t.json")
         assert ExperimentConfig.from_json_obj(
             json.loads(json.dumps(everything.to_json_obj()))) == everything
+
+    def test_config_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="unknown key\\(s\\) 'trails', 'seed'"):
+            ExperimentConfig.from_json_obj({"graph": "ieee118", "budget": "5", "trails": 3,
+                                            "seed": 1})
+
+    @pytest.mark.parametrize("budget", [
+        {"count": 3, "fraction": 0.2}, {}, {"count": None, "fraction": None},
+        {"count": 3, "share": 0.2},
+    ], ids=["both", "empty", "both-null", "extra-key"])
+    def test_config_budget_object_holds_one_value(self, budget):
+        with pytest.raises(ValueError, match="'budget' rejects .* exactly one of"):
+            ExperimentConfig.from_json_obj({"graph": "ieee118", "budget": budget})
+
+    def test_config_budget_null_partner_allowed(self):
+        def load(budget):
+            return ExperimentConfig.from_json_obj({"graph": "ieee118", "budget": budget}).budget
+
+        assert load({"count": 3, "fraction": None}) == BudgetSpec.from_count(3)
+        assert load({"count": None, "fraction": 0.2}) == BudgetSpec.from_fraction(0.2)
 
     def test_config_rejects_odd_power(self, p3_file, monkeypatch, capsys):
         with pytest.raises(ValueError, match="power must be a positive even integer"):

@@ -86,6 +86,21 @@ class TestBuildRates:
         r = build_rates(c4, (0.1, 0.4), (0.2, 0.5), seed=77)
         assert RateModel.from_json_obj(r.to_json_obj()) == r
 
+    @given(gnp_graphs(max_n=15), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_one_scalar_draw_at_a_time(self, g, seed):
+        """Reference: one scalar draw per directed edge, in sorted edge order
+        and receiver-first, then one per node. Same values, same key order."""
+        rng = np.random.default_rng(seed)
+        beta = {}
+        for u, v in sorted(g.edges):
+            beta[(u, v)] = float(rng.uniform(0.1, 0.4))
+            beta[(v, u)] = float(rng.uniform(0.1, 0.4))
+        delta = {i: float(rng.uniform(0.2, 0.5)) for i in range(g.n)}
+        r = build_rates(g, (0.1, 0.4), (0.2, 0.5), seed)
+        assert list(r.beta.items()) == list(beta.items())
+        assert list(r.delta.items()) == list(delta.items())
+
 
 class TestModifiedMatrix:
     def test_k2_direct_substitution(self, k2):

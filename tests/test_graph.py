@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -49,6 +53,26 @@ class TestLoadGraph:
     def test_non_contiguous_rejected_without_relabel(self):
         with pytest.raises(GraphFormatError, match="contiguous"):
             load_graph("0 1\n1 5", GraphFormat.EDGELIST)
+
+    def test_missing_ids_listed_without_the_whole_id_range(self):
+        """An id of 2**40 names the first missing ids at once. The load runs in
+        a child capped at 1 GiB of address space, so code that builds
+        range(largest id) fails there instead of filling the host's memory."""
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        code = ("from netimmune import load_graph\n"
+                f"load_graph('0 1\\n1 {2**40}\\n', 'edgelist')")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, preexec_fn=cap,
+                             timeout=60, check=False)
+        last = run.stderr.strip().splitlines()[-1]
+        assert last.startswith("netimmune.graph.GraphFormatError: node ids are not "
+                               f"contiguous 0..{2**40} (missing 2, 3, 4, 5, 6, ...)")
 
     def test_relabel_keeps_original_ids_as_labels(self):
         g = load_graph("10 20\n20 30", GraphFormat.EDGELIST, relabel=True)
