@@ -66,6 +66,8 @@ def cmd_rank(args) -> int:
         seeds = tuple(args.seeds) if args.seeds else None
         protocol = SimulationProtocol(seeds=seeds, steps=args.steps,
                                       trials=args.trials, master_seed=args.seed)
+    if Strategy(args.strategy) is Strategy.AV11:
+        print(f"power = {args.power}", file=sys.stderr)
     ranking = compute_ranking(args.strategy, g, power=args.power,
                               rates=rates, protocol=protocol)
     if args.format == "json":

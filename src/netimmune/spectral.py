@@ -5,13 +5,19 @@ entry of (Z A Z + d I)^p, where Z zeroes the rows/columns of already-removed
 nodes and d = 1 + |lambda_min(A)|. The shift makes every masked matrix
 positive definite, so for even p the p-th root of the trace upper-bounds
 d + lambda_1 of the masked matrix: shrinking the large diagonal entries of
-the power drives the top eigenvalue down. The greedy builds the power of the
-shifted active block by repeated squaring, each product divided by its
-largest entry; the trace bound comes from one symmetric eigendecomposition.
+the power drives the top eigenvalue down. The greedy keeps R, the power p/2
+of the shifted active block, divided by one scale. A fresh R comes from
+repeated squaring, each product divided by its largest entry. After a pick,
+R is instead downdated by a rank-(p/2 - 1) correction from Krylov steps on
+the edge list, when a cost rule on the block size and p says that is
+cheaper than re-squaring; R is recomputed once its largest entry has fallen
+by 2^10 since the last fresh power. The trace bound comes from one
+symmetric eigendecomposition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,8 +27,26 @@ from .graph import BudgetSpec, Graph, Ranking, Strategy
 
 # Even power of the trace surrogate. Larger p tracks lambda_1 more tightly
 # (the l_p norm of the shifted spectrum falls toward its max entry); 64 keeps
-# hub-heavy graphs sharp at 5 squarings per AV11 pick (cost grows with log2 p).
+# hub-heavy graphs sharp at 5 squarings per fresh AV11 power (see _downdates).
 DEFAULT_POWER = 64
+
+# AV11 downdates R = X^h, h = p/2, after a pick when the active size m has
+# floor(log2 h) * m > _CROSSOVER * h (see _downdates). Per pick on BA(n, 3),
+# one BLAS thread, re-squaring against downdating: at p = 64 0.78 / 0.96 ms
+# at n = 140 and 1.09 / 0.97 ms at n = 160, so 23 switches at m = 147; at
+# p = 16 0.24 / 0.23 ms at n = 100 (the rule switches at 61). Larger h
+# discards more downdates to _REFRESH_RATIO: on BA(400, 3), k = 64, every
+# pick downdated takes 0.42 s against 0.86 s re-squared at p = 256 (8 of 63
+# downdates discarded), but 1.38 s against 1.01 s at p = 1024 (23 of 63).
+# The rule re-squares at p = 256 below m = 421 and at p >= 1024 below 1308.
+_CROSSOVER = 23
+# A downdated R is recomputed once its largest entry has fallen below this
+# fraction of the last fresh one. The largest score error against a fresh
+# power, relative to the largest score (p = 64; BA(200, 3) k = n, BA(400, 3)
+# k = 64, G(300, 1500) k = 100): 2e-12 at 2^-5, 3e-11 at 2^-10, 5e-10 at
+# 2^-15, 1e-8 at 2^-20, against the 1e-9 tie window of _argmax_lowest_id.
+# 2^-10 is as fast as 2^-15 on those graphs and 30 times inside the window.
+_REFRESH_RATIO = 2.0 ** -10
 
 
 @dataclass(frozen=True)
@@ -95,27 +119,108 @@ def _argmax_lowest_id(values: np.ndarray) -> int:
     return int(np.flatnonzero(values >= vmax - 1e-9 * vmax)[0])
 
 
-def _unit(m: np.ndarray) -> np.ndarray:
-    m /= m.max()
-    return m
+def _unit(m: np.ndarray) -> float:
+    """Divide m in place by its largest entry; return that entry's log."""
+    top = m.max()
+    m /= top
+    return math.log(top)
 
 
-def _power_unit(m: np.ndarray, e: int) -> np.ndarray:
-    """m^e divided by its largest entry, for nonnegative symmetric m and e >= 1.
+def _power_unit(m: np.ndarray, e: int) -> tuple[np.ndarray, float]:
+    """(m^e / s, log s) with s the largest entry of m^e, for nonnegative
+    symmetric m and e >= 1.
 
     Binary powering; every product is divided by its largest entry, so no
-    entry exceeds 1. Squarings are written m @ m.T, which numpy sends to
-    BLAS syrk at half the flops of a general product.
+    entry exceeds 1, and the logs of the divisors add up to log s. Squarings
+    are written m @ m.T, which numpy sends to BLAS syrk at half the flops of
+    a general product.
     """
-    m = m / m.max()
+    top = m.max()
+    m = m / top
+    log_m = math.log(top)
     out = None
     while True:
         if e & 1:
-            out = m if out is None else _unit(out @ m)
+            if out is None:
+                out, log_s = m, log_m
+            else:
+                out = out @ m
+                log_s += log_m + _unit(out)
         e >>= 1
         if not e:
-            return out
-        m = _unit(m @ m.T)
+            return out, log_s
+        m = m @ m.T
+        log_m = 2.0 * log_m + _unit(m)
+
+
+def _downdates(m: int, h: int) -> bool:
+    """Whether downdating R = X^h costs less than re-squaring an m x m block.
+
+    Re-squaring takes log2(h) squarings of m^3 flops each; a downdate takes
+    h - 2 Krylov steps on the edge list and a rank-(h - 1) update of about
+    2 h m^2 flops, so it wins once m passes a multiple of h / log2(h).
+    h = 1 is one division and never downdates.
+    """
+    return (h.bit_length() - 1) * m > _CROSSOVER * h
+
+
+def _downdate(root: np.ndarray, log_s: float, src: np.ndarray, dst: np.ndarray,
+              d: float, pos: int, h: int) -> np.ndarray | None:
+    """The unit-scaled power of the block without node ``pos``, or None when
+    it must be recomputed.
+
+    ``root`` is X^h / exp(log_s) for the m x m block X = B + d I, whose
+    off-diagonal nonzeros are the directed edges src -> dst (local ids). With
+    e the unit vector of ``pos`` and D = I - e e^T, (X D)^h equals
+    X^h - sum_{j=0}^{h-2} a_j b_{h-1-j}^T, where a_0 = X e,
+    a_{j+1} = X D a_j and b_l = X^l e; off row and column ``pos`` it is the
+    power of the remaining block. Each Krylov vector is kept divided by its
+    largest entry, with the log of that divisor, so the coefficient of a term
+    is exp(alpha_j + beta_l - log_s), which stays below about m. The result
+    keeps the scale exp(log_s), so its largest entry, on the diagonal since
+    the power is positive semidefinite, is the fall since the last fresh
+    power; past _REFRESH_RATIO, or at or below 0, the round-off inherited
+    from the larger entries is no longer small against it.
+    """
+    m = len(root)
+    nbrs = dst[src == pos]
+    # Without an active neighbour a_0 = d e and every later a_j is 0, so the
+    # one term left vanishes off row and column pos.
+    r = h - 1 if nbrs.size else 1
+    # krylov[0, j] holds a_j and krylov[1, j] holds b_{j+1}, each scaled to
+    # largest entry 1; logs holds the logs of the scales.
+    krylov = np.empty((2, r, m))
+    logs = np.empty((2, r))
+    x = np.zeros(m)
+    x[nbrs] = 1.0 / d
+    x[pos] = 1.0
+    krylov[:, 0] = x
+    logs[:, 0] = math.log(d)
+    both_src = np.concatenate((src, src + m))
+    both_dst = np.concatenate((dst, dst + m))
+    v = np.empty((2, m))
+    for j in range(1, r):
+        v[:] = krylov[:, j - 1]
+        v[0, pos] = 0.0
+        w = np.bincount(both_dst, weights=v.ravel()[both_src], minlength=2 * m)
+        w = w.reshape(2, m)
+        w += d * v
+        top = w.max(axis=1)
+        w /= top[:, None]
+        krylov[:, j] = w
+        logs[:, j] = logs[:, j - 1] + np.log(top)
+    coef = np.exp(logs[0] + logs[1, ::-1] - log_s)
+    a = np.delete(krylov[0] * coef[:, None], pos, 1)
+    b = np.delete(krylov[1, ::-1], pos, 1)
+    out = a.T @ b
+    keep = ((slice(0, pos), slice(0, pos)), (slice(pos + 1, None), slice(pos, None)))
+    for rows, out_rows in keep:
+        for cols, out_cols in keep:
+            np.subtract(root[rows, cols], out[out_rows, out_cols],
+                        out=out[out_rows, out_cols])
+    if not out.diagonal().max() > _REFRESH_RATIO:
+        return None
+    return out
 
 
 def av11_select(g: Graph, budget: BudgetSpec | int,
@@ -125,24 +230,43 @@ def av11_select(g: Graph, budget: BudgetSpec | int,
     Returns the ordered removal list S (|S| = k) and lambda_1 of the masked
     adjacency after the last removal. Each iteration removes the
     still-active node with the largest diagonal entry of (Z A Z + d I)^p
-    (ties -> lowest id). On the active nodes that matrix is (B + d I)^p for
-    the principal submatrix B of the nodes not yet removed. With
-    R = (B + d I)^(p/2), symmetric, its diagonal is the squared row norms of
-    R; R comes from binary powering (5 squarings at p = 64), each product
-    rescaled so no entry exceeds 1, which changes neither the argmax nor the
-    relative tie window. Removed nodes are outside B and never candidates.
+    (ties -> lowest id). On the active nodes that matrix is X^p with
+    X = B + d I for the principal submatrix B of the nodes not yet removed.
+    With R = X^(p/2), symmetric, its diagonal is the squared row norms of R.
+    R is kept divided by one positive scale, which changes neither the
+    argmax nor the relative tie window. A fresh R comes from binary powering
+    (5 squarings at p = 64); after a pick, R is downdated to the remaining
+    block by a rank-(p/2 - 1) correction built from p/2 - 2 Krylov steps on
+    the edge list (see _downdate) whenever _downdates says that costs less
+    than re-squaring the smaller block, and recomputed when its largest
+    entry has fallen past _REFRESH_RATIO. Removed nodes are outside B and
+    never candidates.
     """
     _check_power(power)
     k = budget.resolve(g.n) if isinstance(budget, BudgetSpec) else int(budget)
     if k < 0 or k > g.n:
         raise ValueError(f"budget {k} not in [0, {g.n}]")
-    shifted = g.adjacency_matrix() + diagonal_shift(g) * np.eye(g.n)
+    h = power // 2
+    d = diagonal_shift(g)
+    a = g.adjacency_matrix()
+    shifted = a + d * np.eye(g.n)
+    edge_dst, edge_src = np.nonzero(a)
     active = np.arange(g.n)
     selected: list[int] = []
+    root = None
     for _ in range(k):
-        root = _power_unit(shifted[np.ix_(active, active)], power // 2)
+        if root is None:
+            root, log_s = _power_unit(shifted[np.ix_(active, active)], h)
         pos = _argmax_lowest_id(np.einsum("ij,ij->i", root, root))
         selected.append(int(active[pos]))
+        if len(selected) < k and _downdates(len(active) - 1, h):
+            local = np.full(g.n, -1)
+            local[active] = np.arange(len(active))
+            src, dst = local[edge_src], local[edge_dst]
+            inside = (src >= 0) & (dst >= 0)
+            root = _downdate(root, log_s, src[inside], dst[inside], d, pos, h)
+        else:
+            root = None
         active = np.delete(active, pos)
     return selected, _lambda_1(masked_adjacency(g, selected))
 

@@ -74,6 +74,18 @@ class TestRankCommand:
         assert main(["rank", "--graph", star_file, "--strategy", "av11"]) == 0
         assert capsys.readouterr().out.splitlines()[0].startswith("0 ")
 
+    def test_av11_reports_its_power_on_stderr(self, p3_file, capsys, tmp_path):
+        assert main(["rank", "--graph", p3_file, "--strategy", "av11"]) == 0
+        assert capsys.readouterr() == ("1 3\n0 2\n2 1\n", "power = 64\n")
+        out = tmp_path / "r.json"
+        assert main(["rank", "--graph", p3_file, "--strategy", "av11", "--power", "4",
+                     "--format", "json", "--output", str(out)]) == 0
+        assert capsys.readouterr() == ("", "power = 4\n")
+        assert json.loads(out.read_text()) == {
+            "strategy": "av11", "order": [1, 0, 2], "scores": [2.0, 3.0, 1.0]}
+        assert main(["rank", "--graph", p3_file, "--strategy", "degree"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_unknown_strategy_usage_error(self, p3_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["rank", "--graph", p3_file, "--strategy", "pagerank"])

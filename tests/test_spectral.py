@@ -1,9 +1,11 @@
 import math
+from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from netimmune import (
@@ -21,6 +23,7 @@ from netimmune import (
     spectrum,
     trace_power_bound,
 )
+from netimmune import spectral
 
 from conftest import (
     disjoint_copies,
@@ -253,8 +256,6 @@ class TestSeparationBound:
             separation_lower_bound(spectrum(p3), -1)
 
     def test_floor_holds_exhaustively(self):
-        from itertools import combinations
-
         for seed in range(4):
             g = random_graph(8, 0.4, seed)
             s = spectrum(g)
@@ -345,12 +346,50 @@ def reference_av11_eigh(g, k, power):
     return picks
 
 
+@pytest.fixture
+def downdate_every_pick(monkeypatch):
+    """AV11 with its crossover at 0: every pick after a fresh power downdates."""
+    monkeypatch.setattr(spectral, "_CROSSOVER", 0)
+
+
+def count_av11_paths(monkeypatch):
+    """Count fresh powers and downdates through spectral's private helpers."""
+    counts = {"fresh": 0, "downdate": 0}
+    power_unit, downdate = spectral._power_unit, spectral._downdate
+
+    def fresh(*args):
+        counts["fresh"] += 1
+        return power_unit(*args)
+
+    def down(*args):
+        counts["downdate"] += 1
+        return downdate(*args)
+
+    monkeypatch.setattr(spectral, "_power_unit", fresh)
+    monkeypatch.setattr(spectral, "_downdate", down)
+    return counts
+
+
+def ba_graph(n, m, seed):
+    return Graph(n, list(nx.barabasi_albert_graph(n, m, seed=seed).edges()))
+
+
+# A function-scoped fixture holds for every example of a run, as these tests
+# want.
+FIXTURE_OK = [HealthCheck.function_scoped_fixture]
+
+
 class TestHighPowers:
     # p/2 = 3, 5 and 12 have more than one bit set, so the squaring chain
     # also multiplies two different powers.
     @settings(max_examples=200, deadline=None)
     @given(gnp_graphs(), st.sampled_from([2, 4, 6, 10, 16, 24]))
     def test_picks_equal_matrix_power_greedy(self, g, power):
+        assert av11_select(g, g.n, power=power)[0] == reference_av11(g, g.n, power)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=FIXTURE_OK)
+    @given(gnp_graphs(), st.sampled_from([2, 4, 6, 10, 16, 24]))
+    def test_downdated_picks_equal_matrix_power_greedy(self, downdate_every_pick, g, power):
         assert av11_select(g, g.n, power=power)[0] == reference_av11(g, g.n, power)
 
     # matrix_power overflows at the larger powers, so the eigh form is the
@@ -360,6 +399,75 @@ class TestHighPowers:
            st.sampled_from([64, 256, 2 ** 16]))
     def test_picks_equal_eigh_greedy(self, g, power):
         assert av11_select(g, g.n, power=power)[0] == reference_av11_eigh(g, g.n, power)
+
+    # A downdate at p = 2^16 takes 2^15 Krylov steps, so that power is left
+    # to the cost rule.
+    @settings(max_examples=100, deadline=None, suppress_health_check=FIXTURE_OK)
+    @given(st.one_of(gnp_graphs(), gnp_graphs(max_n=8).map(disjoint_copies)),
+           st.sampled_from([64, 256]))
+    def test_downdated_picks_equal_eigh_greedy(self, downdate_every_pick, g, power):
+        assert av11_select(g, g.n, power=power)[0] == reference_av11_eigh(g, g.n, power)
+
+    def test_every_four_node_graph_at_power_256(self, downdate_every_pick):
+        # After a hub goes, the downdated power of a small tree can cancel to
+        # at or below 0; the greedy must then re-square, not take its log.
+        pairs = list(combinations(range(4), 2))
+        for mask in range(2 ** len(pairs)):
+            g = Graph(4, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                picks = av11_select(g, 4, power=256)[0]
+            assert picks == reference_av11_eigh(g, 4, 256)
+
+    def test_downdated_scores_track_a_fresh_power(self, downdate_every_pick, monkeypatch):
+        # Every downdate on BA(200, 3) against _power_unit of the same block,
+        # both scaled to the last fresh power.
+        downdates = []
+        downdate = spectral._downdate
+
+        def record(root, log_s, *args):
+            out = downdate(root, log_s, *args)
+            if out is not None:
+                downdates.append((out, log_s))
+            return out
+
+        monkeypatch.setattr(spectral, "_downdate", record)
+        g = ba_graph(200, 3, 1)
+        picks, _ = av11_select(g, g.n, power=64)
+        assert len(downdates) > 150
+        shifted = g.adjacency_matrix() + diagonal_shift(g) * np.eye(g.n)
+        for root, log_s in downdates:
+            active = sorted(set(range(g.n)) - set(picks[:g.n - len(root)]))
+            fresh, log_fresh = spectral._power_unit(shifted[np.ix_(active, active)], 32)
+            root = root * math.exp(log_s - log_fresh)
+            scores = np.einsum("ij,ij->i", root, root)
+            expected = np.einsum("ij,ij->i", fresh, fresh)
+            assert np.abs(scores - expected).max() <= 1e-10 * expected.max()
+
+    def test_default_power_path_by_size(self, monkeypatch):
+        counts = count_av11_paths(monkeypatch)
+        av11_select(ieee118_graph(), 118, power=64)
+        assert counts == {"fresh": 118, "downdate": 0}
+        for seed in range(3):
+            counts.update(fresh=0, downdate=0)
+            av11_select(ba_graph(30, 2, seed), 30, power=64)
+            assert counts == {"fresh": 30, "downdate": 0}
+        counts.update(fresh=0, downdate=0)
+        g = ba_graph(400, 3, 1)
+        picks = av11_select(g, 64, power=64)
+        assert counts["downdate"] == 63
+        assert counts["fresh"] < 8
+        monkeypatch.setattr(spectral, "_CROSSOVER", g.n)  # re-square every pick
+        assert av11_select(g, 64, power=64) == picks
+
+    def test_high_powers_never_downdate_up_to_1000_nodes(self, monkeypatch):
+        # The rule grows with m, so m = 1000 covers every smaller block.
+        for power in [*range(2 ** 10, 2 ** 13, 2), 2 ** 16, 2 ** 60, 2 ** 60 + 2]:
+            assert not spectral._downdates(1000, power // 2)
+        counts = count_av11_paths(monkeypatch)
+        g = random_graph(200, 0.5, 1)
+        for power in (2 ** 10, 2 ** 16, 2 ** 60):
+            av11_select(g, 3, power=power)
+        assert counts == {"fresh": 9, "downdate": 0}
 
     def test_disjoint_copies_tie_to_lowest_id(self):
         # The copies' diagonals tie, so the first pick is g's own first pick;
