@@ -246,6 +246,10 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, GraphFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:  # a last resort for sizes that no check rejects first
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ matching the coupling m_ij = beta_ij of the infection-probability recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -18,22 +19,29 @@ from .graph import Graph, Ranking, Strategy, _json_obj
 _CALIBRATION_STREAM = 104729
 
 # Working-memory caps of the Monte-Carlo kernel. Trials run in chunks whose
-# per-step state (the infected tensor, its float copy, the escape sums and
-# the boolean temporaries: at most _STATE_BYTES per set, trial and node,
-# plus the edge kernel's _GATHER_BYTES per set, trial and gathered entry)
-# stays under _CHUNK_BYTES; each trial of a chunk draws its uniforms for as
-# many steps at once as keep the chunk's draw block under _DRAW_BYTES.
-# Neither cap changes any result.
-_CHUNK_BYTES = 1 << 20
+# per-step state stays under _CHUNK_BYTES: at most _STATE_BYTES per set,
+# trial and node (the infected tensor, the dense kernel's float copy or the
+# edge kernel's pushed sums, the escape sums and the boolean temporaries),
+# plus _PUSH_BYTES per set, trial and pushed edge for the edge kernel. A push
+# keeps at most four index or value arrays of the pushed size alive at once,
+# and pushes at most half of a row's edges. Each trial of a chunk draws its
+# uniforms for as many steps at once as keep the chunk's draw block under
+# _DRAW_BYTES. Neither cap changes any result. At 2 MiB a chunk of BA(1000,
+# 3) holds 15 trials; at 1 MiB it would hold 7, and simulate_sis plus
+# most_infected_ranking of 20 trials each ran 5-10 % slower in those three
+# chunks than in two.
+_CHUNK_BYTES = 1 << 21
 _DRAW_BYTES = 1 << 19
 _STATE_BYTES = 40
-_GATHER_BYTES = 9
+_PUSH_BYTES = 32
 
 # Escape kernels: the edge kernel runs when n^2 > _EDGE_COST * (edges + n),
-# edges counting both directions. Per entry, it cost 59-96 times the dense
-# product with one BLAS thread (IEEE 118, 217 set-trial rows: 0.46-0.79 ms
-# a step against 0.16-0.26 ms dense; BA(1000, 3), 20 rows: 0.54-0.95 ms
-# against 1.25-1.85 ms). Both kernels give the same sums, so speed decides.
+# edges counting both directions. Per entry, its push cost 12-102 times the
+# dense product with one BLAS thread, on the states of one benchmark pass of
+# each graph (three runs, shared 2-core host): IEEE 118 (n^2 / (edges + n)
+# = 29.3) took 76-653 us a step against 56-375 us dense at 77-441 set-trial
+# rows, and BA(1000, 3) (143) took 68-249 us against 0.83-1.62 ms at 5-15
+# rows. Both kernels give the same sums, so speed decides.
 _EDGE_COST = 64
 
 # Log-survival clamp: -expm1 of any escape sum at or below -_CLAMP rounds to 1.0.
@@ -133,28 +141,35 @@ def build_rates(g: Graph, beta_range: Sequence[float], delta_range: Sequence[flo
                      delta_range=(dlo, dhi), seed=seed)
 
 
-def _validate_rates(g: Graph, r: RateModel) -> None:
-    expected = set()
-    for u, v in g.edges:
-        expected.add((u, v))
-        expected.add((v, u))
-    if set(r.beta) != expected:
-        raise ValueError("rate model beta keys do not match the graph's directed edges")
-    if set(r.delta) != set(range(g.n)):
-        raise ValueError("rate model delta keys do not match the graph's nodes")
-    if any(not 0.0 <= v <= 1.0 for v in r.beta.values()):
-        raise ValueError("beta rates must lie in [0, 1]")
-    if any(not 0.0 <= v <= 1.0 for v in r.delta.values()):
-        raise ValueError("delta rates must lie in [0, 1]")
-
-
 def _rate_edges(g: Graph, r: RateModel) -> tuple[np.ndarray, ...]:
     """Check ``r`` against ``g``; return the receivers, sources and betas of
-    the directed edges (in ``r.beta``'s order) and each node's delta."""
-    _validate_rates(g, r)
-    pairs = np.array(list(r.beta), dtype=np.intp).reshape(-1, 2)
+    the directed edges (in ``r.beta``'s order) and each node's delta.
+
+    The beta keys must be integer pairs whose sorted codes receiver * n +
+    source equal those of the graph's directed edges (one comparison; the
+    keys of a dict are distinct).
+    """
+    n = g.n
+    try:
+        pairs = np.array(list(r.beta)) if r.beta else np.empty((0, 2), dtype=np.intp)
+    except ValueError:  # keys of unequal lengths
+        pairs = np.empty(0)
+    edges = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp,
+                        count=2 * len(g.edges)).reshape(-1, 2)
+    expected = np.sort(np.concatenate((edges @ (n, 1), edges @ (1, n))))
+    if not (pairs.dtype.kind in "iu" and pairs.shape == (expected.size, 2)
+            and ((0 <= pairs) & (pairs < n)).all()
+            and np.array_equal(np.sort(pairs @ (n, 1)), expected)):
+        raise ValueError("rate model beta keys do not match the graph's directed edges")
+    if set(r.delta) != set(range(n)):
+        raise ValueError("rate model delta keys do not match the graph's nodes")
     beta = np.fromiter(r.beta.values(), dtype=float, count=len(r.beta))
-    delta = np.array([r.delta[i] for i in range(g.n)])
+    if not ((0.0 <= beta) & (beta <= 1.0)).all():
+        raise ValueError("beta rates must lie in [0, 1]")
+    delta = np.array([r.delta[i] for i in range(n)], dtype=float)
+    if not ((0.0 <= delta) & (delta <= 1.0)).all():
+        raise ValueError("delta rates must lie in [0, 1]")
+    pairs = pairs.astype(np.intp, copy=False)
     return pairs[:, 0], pairs[:, 1], beta, delta
 
 
@@ -448,33 +463,63 @@ class _DenseEscape:
 
 
 class _EdgeEscape:
-    """Escape sums over receiver-sorted edges: gather the sources' states,
-    weight them by the log-survival values and sum each receiver's segment.
+    """Escape sums pushed along source-sorted edges from the smaller side of the state.
 
-    A node without edges gets one zero self-entry, so that no ``reduceat``
-    segment is empty.
+    A call counts the out-edges of the infected sources over all rows. When
+    they are at most half of the row-edge terms, the infected nodes push the
+    log-survival values of their out-edges onto the receivers. Otherwise the
+    nodes that are not infected push theirs, and each sum is the receiver's
+    ``total`` over all in-edges less what reached it: the push/pull switch of
+    direction-optimizing BFS (Beamer, Asanovic and Patterson, SC 2012). A
+    push thus touches at most half of the terms, and on ``_log_survival``'s
+    grid both the scatter and the subtraction are exact.
     """
 
     def __init__(self, n: int, receivers: np.ndarray, sources: np.ndarray, log_s: np.ndarray):
-        lonely = np.flatnonzero(np.bincount(receivers, minlength=n) == 0)
-        receivers = np.concatenate((receivers, lonely))
-        order = np.argsort(receivers, kind="stable")
-        self.sources = np.concatenate((sources, lonely))[order]
-        self.log_s = np.concatenate((log_s, np.zeros(lonely.size)))[order]
-        self.starts = np.searchsorted(receivers[order], np.arange(n))
-        self.row_bytes = _STATE_BYTES * n + _GATHER_BYTES * self.sources.size
+        order = np.argsort(sources, kind="stable")
+        self.receivers, self.log_s = receivers[order], log_s[order]
+        self.out_degree = np.bincount(sources, minlength=n)
+        self.ends = np.cumsum(self.out_degree)
+        self.has_out = self.out_degree > 0
+        self.total = np.bincount(receivers, weights=log_s, minlength=n)
+        self.row_bytes = _STATE_BYTES * n + _PUSH_BYTES * receivers.size // 2
 
-    def scratch(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        gathered = shape[:-1] + self.sources.shape
-        return np.empty(gathered, dtype=bool), np.empty(gathered)
+    def scratch(self, shape: tuple[int, ...]) -> np.ndarray:
+        return np.empty(shape, dtype=bool)
 
-    def __call__(self, infected: np.ndarray, scratch: tuple[np.ndarray, np.ndarray],
-                 out: np.ndarray) -> None:
-        states, terms = scratch
-        # The sources are valid ids; mode="clip" lets take write into states unbuffered.
-        np.take(infected, self.sources, axis=-1, out=states, mode="clip")
-        np.multiply(states, self.log_s, out=terms)
-        np.add.reduceat(terms, self.starts, axis=-1, out=out)
+    def __call__(self, infected: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+        n = self.total.size
+        rows = infected.size // n
+        flip = 2 * int(infected.reshape(rows, n).sum(axis=0) @ self.out_degree) \
+            > rows * self.receivers.size
+        # The chosen side's nodes that have out-edges: has_out > infected is
+        # has_out & ~infected.
+        (np.less if flip else np.logical_and)(infected, self.has_out, out=scratch)
+        # Each array is dropped once used, so that at most four of the pushed
+        # size are alive at once (_PUSH_BYTES).
+        cells = np.flatnonzero(scratch)
+        nodes = cells % n
+        cells -= nodes  # row * n
+        degree = self.out_degree[nodes]
+        keys = np.repeat(cells, degree)
+        del cells
+        # Laid end to end, a chosen node's out-edge range ends at the cumsum
+        # of the degrees; its edges lie ends[node] - cumsum places further on
+        # in the source-sorted list.
+        shift = self.ends[nodes]
+        del nodes
+        shift -= np.cumsum(degree)
+        edges = np.repeat(shift, degree)
+        del shift, degree
+        edges += np.arange(edges.size)
+        keys += self.receivers[edges]
+        weights = self.log_s[edges]
+        del edges
+        sums = np.bincount(keys, weights, minlength=infected.size).reshape(out.shape)
+        if flip:
+            np.subtract(self.total, sums, out=out)
+        else:
+            np.copyto(out, sums)
 
 
 def _masks(n: int, seeds: Iterable[int], immunized: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -514,9 +559,11 @@ def _run_trials(g: Graph, r: RateModel, seeds: Iterable[int] | None,
 
     A node escapes infection with probability exp(sum of log(1 - beta) over
     its infected sources). Sparse graphs, n^2 > _EDGE_COST (edges + n), take
-    these escape sums from ``_EdgeEscape``, the rest from ``_DenseEscape``'s
-    one matrix product. ``_log_survival``'s grid makes every sum exact, so
-    both kernels give the same bits and the choice changes only speed.
+    these escape sums from ``_EdgeEscape``, which pushes along the edge list
+    from whichever side of the state has fewer out-edges; the rest take them
+    from ``_DenseEscape``'s one matrix product. ``_log_survival``'s grid
+    makes every sum exact, so both kernels give the same bits and the choice
+    changes only speed.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")

@@ -46,18 +46,22 @@ def star_file(tmp_path):
     return str(path)
 
 
+def child_python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a child process that imports this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+                          timeout=60, check=False, **kwargs)
+
+
 def test_python_dash_m_runs_the_cli():
     """``python -m netimmune`` is the CLI, and ``import netimmune`` does not
     load the entry module."""
     from netimmune import __version__
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-
     def python(*args):
-        run = subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                             env=env, timeout=60, check=False)
+        run = child_python(*args)
         return run.returncode, run.stdout
 
     assert python("-m", "netimmune", "--version") == (0, f"netimmune {__version__}\n")
@@ -243,6 +247,20 @@ class TestSimulateCommand:
     def test_seed_immunized_clash_exits_3(self, star_file, capsys):
         assert main(["simulate", "--graph", star_file, "--seeds", "0",
                      "--immunized", "0"]) == 3
+
+    def test_allocation_past_the_memory_limit_exits_3(self):
+        """An allocation that fails with MemoryError exits 3 with a message, not
+        a traceback; the 1 GiB address-space cap applies to the child only."""
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        run = child_python("-m", "netimmune", "simulate", "--graph", "ieee118",
+                           "--trials", "1", "--steps", str(10**9),
+                           preexec_fn=cap_address_space)
+        assert run.returncode == 3
+        assert run.stderr.startswith("error: out of memory") and "Traceback" not in run.stderr
 
 
 class TestCompareCommand:

@@ -129,6 +129,28 @@ class TestModifiedMatrix:
         with pytest.raises(ValueError):
             modified_matrix(p3, r)
 
+    @pytest.mark.parametrize("beta_edit, delta_edit, message", [
+        ({(0, 1): None}, {}, "beta keys"),
+        ({(0, 2): 0.5}, {}, "beta keys"),
+        ({(0, 1): None, (0, 3): 0.5}, {}, "beta keys"),
+        ({(0, 1): None, (1, -2): 0.5}, {}, "beta keys"),  # (1, -2) has (0, 1)'s code 1
+        ({(0, 1): None, (0.5, 1): 0.5}, {}, "beta keys"),
+        ({(0, 1): None, (0, 1, 2): 0.5}, {}, "beta keys"),
+        ({}, {2: None}, "delta keys"),
+        ({(1, 2): math.nan}, {}, "beta rates"),
+        ({(1, 2): 1.5}, {}, "beta rates"),
+        ({}, {0: -0.1}, "delta rates"),
+    ])
+    def test_bad_rate_models_rejected(self, p3, beta_edit, delta_edit, message):
+        def edited(rates, edit):
+            rates = rates | edit
+            return {k: v for k, v in rates.items() if v is not None}
+
+        r = constant_rates(p3, 0.5, 0.4)
+        bad = RateModel(beta=edited(r.beta, beta_edit), delta=edited(r.delta, delta_edit))
+        with pytest.raises(ValueError, match=message):
+            modified_matrix(p3, bad)
+
 
 @st.composite
 def graphs_with_rates(draw):
@@ -380,6 +402,27 @@ class TestEscapeKernelsAgree:
         dense, edge, backward = escape_sums(g, r, infected)
         assert np.array_equal(dense, backward) and np.array_equal(edge, backward)
 
+    @pytest.mark.parametrize("state, flips", [
+        ("0", False), ("0.02", False), ("0.5", None), ("0.98", True), ("1", True),
+        ("one full row", False), ("one empty row", True),
+    ])
+    def test_escape_sums_equal_on_both_sides_of_the_push(self, state, flips):
+        # BA(300, 2) plus 4 isolated nodes; the edge kernel pushes from the
+        # infected side unless that side has more than half the row-edge terms.
+        g = Graph(304, list(nx.barabasi_albert_graph(300, 2, seed=7).edges()))
+        r = build_rates(g, (0.0, 1.0), (0.2, 0.5), seed=5)
+        if state.startswith("one"):
+            infected = np.full((4, g.n), state == "one empty row")
+            infected[1] = state == "one full row"
+        else:
+            infected = np.random.default_rng(3).random((3, g.n)) < float(state)
+        out_degree = np.bincount(_rate_edges(g, r)[1], minlength=g.n)
+        if flips is not None:
+            assert flips == (2 * infected.sum(axis=0) @ out_degree
+                             > infected.shape[0] * out_degree.sum())
+        dense, edge, backward = escape_sums(g, r, infected)
+        assert np.array_equal(dense, backward) and np.array_equal(edge, backward)
+
     @settings(max_examples=60, deadline=None)
     @given(edge_rate_cases(), st.data())
     def test_paired_rows_equal_through_either_kernel(self, case, data):
@@ -406,11 +449,14 @@ class TestEscapeKernelsAgree:
         beta = {(0, i): 0.3 for i in range(1, 6)} | {(i, 0): 0.5 for i in range(1, 6)}
         beta[(0, 1)] = 1.0
         r = RateModel(beta=beta, delta={0: 1.0} | {i: 0.0 for i in range(1, 6)})
-        only_leaf_1, every_leaf = np.zeros((2, g.n), dtype=bool)
-        only_leaf_1[1] = every_leaf[1:] = True
-        for sums in escape_sums(g, r, np.array([only_leaf_1, every_leaf])):
-            assert sums[0, 0] == -40.0 and sums[1, 0] < -40.0
-            assert (-np.expm1(sums[:, 0]) == 1.0).all()
+        only_leaf_1, every_leaf, every_node = np.zeros((3, g.n), dtype=bool)
+        only_leaf_1[1] = every_leaf[1:] = every_node[:] = True
+        # The edge kernel pushes from the infected side of the first chunk and
+        # from the side that is not infected of the second.
+        for chunk in ([only_leaf_1, every_leaf], [only_leaf_1, every_leaf, every_node]):
+            for sums in escape_sums(g, r, np.array(chunk)):
+                assert sums[0, 0] == -40.0 and (sums[1:, 0] < -40.0).all()
+                assert (-np.expm1(sums[:, 0]) == 1.0).all()
         with escape_kernel(kind):
             outcomes = simulate_sis(g, r, seeds=range(1, 6), immunized=[], steps=50,
                                     trials=40, master_seed=3)
