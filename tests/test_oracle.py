@@ -225,6 +225,87 @@ class TestOptimalRemoval:
         assert best == (48, 99)
         assert lam == lam1(masked_adjacency(g, best))
 
+    def test_ieee118_k4_is_exact(self):
+        g = ieee118_graph()
+        best, lam = optimal_removal(g, 4)
+        assert best == (48, 58, 76, 99)
+        assert lam == lam1(masked_adjacency(g, best))
+
+    def test_ieee118_k3_screens_few_subsets(self, monkeypatch):
+        """The mass floor leaves 16,461 of IEEE 118's 266,916 triples for the
+        rank-1 screen."""
+        screened = []
+        bounds = oracle._rayleigh_bounds
+
+        def counted(a, v, av, subsets):
+            if v.shape[1] == 1:
+                screened.append(len(subsets))
+            return bounds(a, v, av, subsets)
+
+        monkeypatch.setattr(oracle, "_rayleigh_bounds", counted)
+        g = ieee118_graph()
+        best, lam = optimal_removal(g, 3)
+        assert sum(screened) <= 16_461
+        assert best == (53, 68, 99)
+        assert lam == lam1(masked_adjacency(g, best))
+
+    @pytest.mark.parametrize("start", [(0, 1, 2), (0, 1), (0, 0, 1, 2), (0, 1, 9),
+                                       (-1, 0, 1, 2), (0, 1, 2, 1.5), "0123"])
+    def test_bad_start_rejected_before_any_eigensolve(self, monkeypatch, start):
+        def eigensolve(*args, **kwargs):
+            raise AssertionError("an eigensolve ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigensolve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigensolve)
+        with pytest.raises(ValueError, match="start must be 4 distinct node ids in"):
+            optimal_removal(random_graph(9, 0.4, 3), 4, start=start)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_and_budgets(), st.integers(0, 2**32 - 1))
+    def test_any_start_gives_the_tie_rule(self, case, seed):
+        """The start only sets how far the search prunes: from any k-subset
+        it returns the tie rule's answer."""
+        g, k = case
+        start = np.random.default_rng(seed).permutation(g.n)[:k].tolist()
+        assert optimal_removal(g, k, start=start) == tie_rule(list(removal_table(g, k)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_and_budgets(), st.integers(0, 2**32 - 1))
+    # Two disjoint C5: lambda_1 = 2 twice, so v1 is any mix of the two
+    # blocks and may change sign between them.
+    @example((disjoint_copies(Graph(5, [(i, (i + 1) % 5) for i in range(5)])), 2), 0)
+    @example((disjoint_copies(Graph(5, [(i, (i + 1) % 5) for i in range(5)])), 3), 7)
+    # rho = 0: the floor cuts nothing.
+    @example((Graph(6, []), 2), 0)
+    def test_no_subset_under_the_mass_floor_ties_a_residual(self, case, pick):
+        """Take b as any subset's residual: every subset whose top-eigenvector
+        mass is under the floor leaves a residual more than _TIE_TOL above b."""
+        g, k = case
+        a = g.adjacency_matrix()
+        subsets = list(combinations(range(g.n), k))
+        residuals = loop_residuals(g, k)
+        b = residuals[pick % len(subsets)]
+        w, v = np.linalg.eigh(a)
+        x = np.abs(v[:, -1])
+        cut = b + oracle._TIE_TOL + oracle._SLACK * max(1.0, float(w[-1]))
+        floor = oracle._mass_floor(a, x, k, cut)
+        for subset, lam in zip(subsets, residuals):
+            if sum((x * x)[list(subset)]) < floor:
+                assert lam > b + oracle._TIE_TOL
+
+    def test_gap_report_runs_av11_once(self, monkeypatch):
+        calls = []
+        select = oracle.av11_select
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "av11_select", counted)
+        rep = gap_report(random_graph(12, 0.3, 5), 3)
+        assert len(calls) == 1
+        assert rep.optimal_lambda1 <= rep.av11_lambda1 + 1e-9
+
     def test_table_is_lazy(self, monkeypatch):
         """The first row costs one eigvalsh batch, not the whole table."""
         solved = []
@@ -253,6 +334,37 @@ class TestOptimalRemoval:
             av11_set, av11_lam = av11_select(g, k)
             row = dict(removal_table(g, k))[tuple(sorted(av11_set))]
             assert row == pytest.approx(av11_lam, abs=1e-9)
+
+
+masses = st.lists(st.one_of(st.sampled_from((0.0, 0.125, 0.25, 0.5)), st.floats(0.0, 1.0)),
+                  max_size=9)
+floors = st.one_of(st.just(-math.inf), st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+                   st.floats(-1.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(masses, st.integers(0, 9), floors, st.integers(1, 40),
+       st.sampled_from((1, 64, 512, 1 << 19)))
+# Zero masses that just reach a zero floor.
+@example([0.0, 0.0, 0.0], 1, 0.0, 5, 1 << 19)
+# Ties at the floor: {0, 1}, {0, 2} and {1, 2} sum to it exactly.
+@example([0.25, 0.25, 0.25, 0.0], 2, 0.5, 2, 64)
+# A sum 1e-10 under the floor, inside the prefix checks' allowance.
+@example([0.5, 0.4999999999], 2, 1.0, 3, 1 << 19)
+def test_enumerator_is_combinations_over_the_floor(mass, k, floor, rows, chunk_bytes):
+    """The enumerator lists exactly the k-subsets whose id-order mass sum
+    reaches the floor, in combinations' order, in chunks of `rows` rows,
+    whatever the working-memory cap."""
+    mass = np.array(mass, dtype=float)
+    n = len(mass)
+    k = min(k, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK_BYTES", chunk_bytes)
+        chunks = list(oracle._subsets(mass, k, rows, floor))
+    expected = [s for s in combinations(range(n), k) if sum(mass[list(s)]) >= floor]
+    assert all(c.shape == (rows, k) for c in chunks[:-1])
+    assert all(0 < len(c) <= rows and c.shape[1] == k for c in chunks)
+    assert [tuple(r) for c in chunks for r in c.tolist()] == expected
 
 
 class TestGapReport:
