@@ -7,13 +7,13 @@ matching the coupling m_ij = beta_ij of the infection-probability recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, Ranking, Strategy, _json_obj
+from .graph import Graph, Ranking, Strategy, _is_index, _is_int, _json_obj
 
 # Spawn-key prefix separating calibration draws from comparison trials.
 _CALIBRATION_STREAM = 104729
@@ -90,9 +90,22 @@ class RateModel:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RateModel":
+        """Inverse of ``to_json_obj``; ValueError on a bad key or a non-integer node id."""
+        unknown = [key for key in obj if key not in {f.name for f in fields(cls)}]
+        if unknown:
+            raise ValueError(f"rate model has unknown key(s) {', '.join(map(repr, unknown))}")
+
+        def rows(key, ids):
+            if key not in obj:
+                raise ValueError(f"rate model is missing the required key {key!r}")
+            for row in obj[key]:
+                if not all(map(_is_int, row[:ids])):
+                    raise ValueError(f"rate model {key} row {row!r} has a non-integer node id")
+                yield row
+
         return cls(
-            beta={(int(i), int(j)): float(v) for i, j, v in obj["beta"]},
-            delta={int(i): float(v) for i, v in obj["delta"]},
+            beta={(i, j): float(v) for i, j, v in rows("beta", 2)},
+            delta={i: float(v) for i, v in rows("delta", 1)},
             beta_range=tuple(obj["beta_range"]) if obj.get("beta_range") else None,
             delta_range=tuple(obj["delta_range"]) if obj.get("delta_range") else None,
             seed=obj.get("seed"),
@@ -342,24 +355,24 @@ def _threshold_verdict(lo: float, hi: float) -> tuple[float, bool]:
     return lam_m, lam_m >= 1.0
 
 
-def _check_p0(m: ModifiedMatrix, p0: Sequence[float]) -> np.ndarray:
+def _iterate(m: ModifiedMatrix, p0: Sequence[float], steps: int, step) -> np.ndarray:
+    """The trajectory P(t) = step(P(t - 1)) from a checked p0; row t is P(t)."""
     p = np.asarray(p0, dtype=float)
     if p.shape != (m.n,):
         raise ValueError(f"p0 must have shape ({m.n},)")
     if (p < 0).any() or (p > 1).any():
         raise ValueError("p0 entries must lie in [0, 1]")
-    return p
+    traj = np.empty((steps + 1, m.n))
+    traj[0] = p
+    for t in range(1, steps + 1):
+        p = step(p)
+        traj[t] = p
+    return traj
 
 
 def linear_iteration(m: ModifiedMatrix, p0: Sequence[float], steps: int) -> np.ndarray:
     """Linearized probability iteration P(t) = M P(t-1); row t of the result is P(t)."""
-    p = _check_p0(m, p0)
-    traj = np.empty((steps + 1, m.n))
-    traj[0] = p
-    for t in range(1, steps + 1):
-        p = m.matrix @ p
-        traj[t] = p
-    return traj
+    return _iterate(m, p0, steps, lambda p: m.matrix @ p)
 
 
 def exact_probability_iteration(m: ModifiedMatrix, p0: Sequence[float],
@@ -372,13 +385,7 @@ def exact_probability_iteration(m: ModifiedMatrix, p0: Sequence[float],
     product is taken. Outputs stay in [0, 1] and are dominated elementwise
     by the linear iteration from the same p0.
     """
-    p = _check_p0(m, p0)
-    traj = np.empty((steps + 1, m.n))
-    traj[0] = p
-    for t in range(1, steps + 1):
-        p = 1.0 - np.prod(1.0 - m.matrix * p[np.newaxis, :], axis=1)
-        traj[t] = p
-    return traj
+    return _iterate(m, p0, steps, lambda p: 1.0 - np.prod(1.0 - m.matrix * p, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +533,8 @@ def _masks(n: int, seeds: Iterable[int], immunized: Iterable[int]) -> tuple[np.n
     seed_set, immune_set = set(seeds), set(immunized)
     for name, s in (("seed", seed_set), ("immunized", immune_set)):
         for i in s:
+            if not _is_index(i):
+                raise ValueError(f"{name} node {i!r} is not an integer id")
             if not 0 <= i < n:
                 raise ValueError(f"{name} node {i} out of range for n={n}")
     overlap = seed_set & immune_set

@@ -53,6 +53,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_index(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class Graph:
     """Immutable undirected simple graph on contiguous node ids 0..n-1.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import IO
 
 import numpy as np
@@ -103,24 +103,9 @@ def _flag(value) -> bool:
     return value
 
 
-# ExperimentConfig field -> converter from its JSON value, in field order.
-_FIELDS = {
-    "graph": _text,
-    "graph_format": _text,
-    "relabel": _flag,
-    "budget": _budget_spec,
-    "seeds": _seeds,
-    "strategies": _strategies,
-    "beta_range": _range,
-    "delta_range": _range,
-    "steps": _int,
-    "trials": _int,
-    "master_seed": _int,
-    "power": _check_power,
-    "calibration_trials": _int,
-    "output_csv": _text,
-    "output_json": _text,
-}
+def _key(read, default=MISSING, *, hashed: bool = True):
+    """An ExperimentConfig field read from JSON by ``read``; with no default, a required key."""
+    return field(default=default, metadata={"read": read, "hashed": hashed})
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -130,21 +115,21 @@ class ExperimentConfig:
     The JSON form lists the fields in declaration order.
     """
 
-    graph: str
-    graph_format: str | None = None
-    relabel: bool = False
-    budget: BudgetSpec
-    seeds: tuple[int, ...] | None = None
-    strategies: tuple[Strategy, ...] = DEFAULT_COMPARISON_STRATEGIES
-    beta_range: tuple[float, float] = (0.1, 0.4)
-    delta_range: tuple[float, float] = (0.2, 0.5)
-    steps: int = 200
-    trials: int = 200
-    master_seed: int = 42
-    power: int = DEFAULT_POWER
-    calibration_trials: int = 100
-    output_csv: str | None = None
-    output_json: str | None = None
+    graph: str = _key(_text)
+    graph_format: str | None = _key(_text, None)
+    relabel: bool = _key(_flag, False)
+    budget: BudgetSpec = _key(_budget_spec)
+    seeds: tuple[int, ...] | None = _key(_seeds, None)
+    strategies: tuple[Strategy, ...] = _key(_strategies, DEFAULT_COMPARISON_STRATEGIES)
+    beta_range: tuple[float, float] = _key(_range, (0.1, 0.4))
+    delta_range: tuple[float, float] = _key(_range, (0.2, 0.5))
+    steps: int = _key(_int, 200)
+    trials: int = _key(_int, 200)
+    master_seed: int = _key(_int, 42)
+    power: int = _key(_check_power, DEFAULT_POWER)
+    calibration_trials: int = _key(_int, 100)
+    output_csv: str | None = _key(_text, None, hashed=False)
+    output_json: str | None = _key(_text, None, hashed=False)
 
     def to_json_obj(self) -> dict:
         return _json_obj(self)
@@ -154,28 +139,28 @@ class ExperimentConfig:
         """Build a config from its JSON form; absent or null optional keys take the defaults."""
         if not isinstance(obj, dict):
             raise ValueError("experiment config must be a JSON object")
-        unknown = [key for key in obj if key not in _FIELDS]
+        names = {f.name for f in fields(cls)}
+        unknown = [key for key in obj if key not in names]
         if unknown:
             raise ValueError(f"experiment config has unknown key(s) "
                              f"{', '.join(map(repr, unknown))}")
-        for key in ("graph", "budget"):
-            if obj.get(key) is None:
-                raise ValueError(f"experiment config is missing the required key {key!r}")
+        for f in fields(cls):
+            if f.default is MISSING and obj.get(f.name) is None:
+                raise ValueError(f"experiment config is missing the required key {f.name!r}")
         kwargs = {}
-        for name, convert in _FIELDS.items():
-            if obj.get(name) is not None:
+        for f in fields(cls):
+            if obj.get(f.name) is not None:
                 try:
-                    kwargs[name] = convert(obj[name])
+                    kwargs[f.name] = f.metadata["read"](obj[f.name])
                 except (TypeError, ValueError) as e:
-                    raise ValueError(f"experiment config key {name!r} rejects "
-                                     f"{obj[name]!r}: {e}") from None
+                    raise ValueError(f"experiment config key {f.name!r} rejects "
+                                     f"{obj[f.name]!r}: {e}") from None
         return cls(**kwargs)
 
     def config_sha256(self) -> str:
-        """Digest of the experimental parameters (output paths excluded)."""
-        obj = self.to_json_obj()
-        obj.pop("output_csv", None)
-        obj.pop("output_json", None)
+        """Digest of the parameters: every field but those marked ``hashed=False`` (the outputs)."""
+        skip = {f.name for f in fields(self) if not f.metadata["hashed"]}
+        obj = {k: v for k, v in self.to_json_obj().items() if k not in skip}
         canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

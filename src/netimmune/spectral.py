@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import BudgetSpec, Graph, Ranking, Strategy
+from .graph import Graph, Ranking, Strategy, _is_index
 
 # Even power of the trace surrogate. Larger p tracks lambda_1 more tightly
 # (the l_p norm of the shifted spectrum falls toward its max entry); 64 keeps
@@ -85,8 +85,7 @@ def spectrum(g: Graph, want_vectors: bool = False) -> Spectrum:
 
 def diagonal_shift(g: Graph) -> float:
     """The shift d = 1 + |lambda_min(A)| that makes masked matrices positive definite."""
-    w = np.linalg.eigvalsh(g.adjacency_matrix())
-    return 1.0 + abs(float(w[0]))
+    return 1.0 + abs(spectrum(g).lambda_min)
 
 
 def masked_adjacency(g: Graph, removed: Iterable[int]) -> np.ndarray:
@@ -94,6 +93,8 @@ def masked_adjacency(g: Graph, removed: Iterable[int]) -> np.ndarray:
     a = g.adjacency_matrix().copy()
     idx = list(removed)
     for i in idx:
+        if not _is_index(i):
+            raise ValueError(f"node {i!r} is not an integer id")
         if not 0 <= i < g.n:
             raise ValueError(f"node {i} out of range for n={g.n}")
     a[idx, :] = 0.0
@@ -101,8 +102,23 @@ def masked_adjacency(g: Graph, removed: Iterable[int]) -> np.ndarray:
     return a
 
 
-def _lambda_1(matrix: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(matrix)[-1])
+def _residuals(a: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """lambda_1 of A with each row's nodes zeroed, one stacked eigvalsh call.
+
+    Each masked matrix goes through the same LAPACK routine as a lone
+    ``eigvalsh`` of it, so the values equal a per-subset loop bit for bit.
+    """
+    m = len(subsets)
+    masked = np.broadcast_to(a, (m, *a.shape)).copy()
+    rows = np.arange(m)[:, None]
+    masked[rows, subsets, :] = 0.0
+    masked[rows, :, subsets] = 0.0
+    return np.linalg.eigvalsh(masked)[:, -1]
+
+
+def _check_budget(k, n: int) -> None:
+    if not (_is_index(k) and 0 <= k <= n):
+        raise ValueError(f"budget must be an integer in [0, {n}], got {k!r}")
 
 
 def _check_power(p: int) -> int:
@@ -223,12 +239,12 @@ def _downdate(root: np.ndarray, log_s: float, src: np.ndarray, dst: np.ndarray,
     return out
 
 
-def av11_select(g: Graph, budget: BudgetSpec | int,
+def av11_select(g: Graph, budget: int,
                 power: int = DEFAULT_POWER) -> tuple[list[int], float]:
     """Greedy spectral budget selection.
 
-    Returns the ordered removal list S (|S| = k) and lambda_1 of the masked
-    adjacency after the last removal. Each iteration removes the
+    Returns the ordered removal list S (|S| = budget, an integer in [0, n])
+    and lambda_1 of the masked adjacency after the last removal. Each iteration removes the
     still-active node with the largest diagonal entry of (Z A Z + d I)^p
     (ties -> lowest id). On the active nodes that matrix is X^p with
     X = B + d I for the principal submatrix B of the nodes not yet removed.
@@ -243,9 +259,7 @@ def av11_select(g: Graph, budget: BudgetSpec | int,
     never candidates.
     """
     _check_power(power)
-    k = budget.resolve(g.n) if isinstance(budget, BudgetSpec) else int(budget)
-    if k < 0 or k > g.n:
-        raise ValueError(f"budget {k} not in [0, {g.n}]")
+    _check_budget(budget, g.n)
     h = power // 2
     d = diagonal_shift(g)
     a = g.adjacency_matrix()
@@ -254,12 +268,12 @@ def av11_select(g: Graph, budget: BudgetSpec | int,
     active = np.arange(g.n)
     selected: list[int] = []
     root = None
-    for _ in range(k):
+    for _ in range(budget):
         if root is None:
             root, log_s = _power_unit(shifted[np.ix_(active, active)], h)
         pos = _argmax_lowest_id(np.einsum("ij,ij->i", root, root))
         selected.append(int(active[pos]))
-        if len(selected) < k and _downdates(len(active) - 1, h):
+        if len(selected) < budget and _downdates(len(active) - 1, h):
             local = np.full(g.n, -1)
             local[active] = np.arange(len(active))
             src, dst = local[edge_src], local[edge_dst]
@@ -268,7 +282,7 @@ def av11_select(g: Graph, budget: BudgetSpec | int,
         else:
             root = None
         active = np.delete(active, pos)
-    return selected, _lambda_1(masked_adjacency(g, selected))
+    return selected, float(_residuals(a, np.array(selected, dtype=np.intp)[None])[0])
 
 
 def av11_ranking(g: Graph, power: int = DEFAULT_POWER) -> Ranking:

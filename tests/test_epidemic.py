@@ -86,6 +86,23 @@ class TestBuildRates:
         r = build_rates(c4, (0.1, 0.4), (0.2, 0.5), seed=77)
         assert RateModel.from_json_obj(r.to_json_obj()) == r
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("beta", [[0.7, 1, 0.2], [1, 0, 0.3]], r"beta row \[0.7, 1, 0.2\] has a non-integer"),
+        ("beta", [[0, "1", 0.2], [1, 0, 0.3]], "beta row .* has a non-integer node id"),
+        ("delta", [[0, 0.5], [True, 0.5]], r"delta row \[True, 0.5\] has a non-integer"),
+        ("beta", None, "missing the required key 'beta'"),
+        ("delta", None, "missing the required key 'delta'"),
+        ("cure", [], "unknown key\\(s\\) 'cure'"),
+    ])
+    def test_bad_json_rejected(self, key, value, message):
+        obj = RateModel(beta={(0, 1): 0.2, (1, 0): 0.3}, delta={0: 0.5, 1: 0.5}).to_json_obj()
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+        with pytest.raises(ValueError, match=message):
+            RateModel.from_json_obj(obj)
+
     @given(gnp_graphs(max_n=15), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_one_scalar_draw_at_a_time(self, g, seed):
@@ -777,6 +794,28 @@ class TestSimulateSis:
         with pytest.raises(ValueError):
             simulate_sis(c4, r, seeds=[0, 1], immunized=[1], steps=5, trials=2,
                          master_seed=0)
+
+    @pytest.mark.parametrize("seeds, immunized, message", [
+        ([0.5], [], "seed node 0.5 is not an integer id"),
+        ([0], [True], "immunized node True is not an integer id"),
+        ([0], [2.0], "immunized node 2.0 is not an integer id"),
+    ])
+    def test_non_integer_node_ids_rejected(self, c4, seeds, immunized, message):
+        r = constant_rates(c4, 0.5, 0.5)
+        with pytest.raises(ValueError, match=message):
+            simulate_sis(c4, r, seeds, immunized, steps=5, trials=2, master_seed=0)
+        with pytest.raises(ValueError, match=message):
+            simulate_sis_paired(c4, r, seeds, [immunized], steps=5, trials=2, master_seed=0)
+        if not immunized:
+            with pytest.raises(ValueError, match=message):
+                most_infected_ranking(c4, r, SimulationProtocol(seeds=tuple(seeds)))
+
+    def test_numpy_integer_node_ids_accepted(self, c4):
+        r = constant_rates(c4, 0.5, 0.5)
+        ints = simulate_sis(c4, r, [0], [2], steps=5, trials=2, master_seed=0)
+        numpy = simulate_sis(c4, r, [np.int64(0)], [np.int32(2)], steps=5, trials=2,
+                             master_seed=0)
+        assert [o.infected_counts for o in numpy] == [o.infected_counts for o in ints]
 
     def test_invalid_protocol_rejected(self, c4):
         r = constant_rates(c4, 0.5, 0.5)

@@ -95,6 +95,17 @@ class TestOptimalRemoval:
         assert exc.value.count == math.comb(40, 12)
         assert str(math.comb(40, 12)) in str(exc.value)
 
+    @pytest.mark.parametrize("k", [2.7, "3", True, None, 2.0])
+    def test_non_integer_budget_rejected(self, c4, k):
+        with pytest.raises(ValueError, match="budget must be an integer in \\[0, 4\\]"):
+            optimal_removal(c4, k)
+        with pytest.raises(ValueError, match="budget must be an integer in \\[0, 4\\]"):
+            next(removal_table(c4, k))
+
+    def test_numpy_integer_budget_accepted(self, c4):
+        assert optimal_removal(c4, np.int64(3)) == optimal_removal(c4, 3)
+        assert list(removal_table(c4, np.int64(3))) == list(removal_table(c4, 3))
+
     def test_table_covers_all_subsets(self, c4):
         table = list(removal_table(c4, 2))
         assert [s for s, _ in table] == list(combinations(range(4), 2))

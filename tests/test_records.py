@@ -19,8 +19,8 @@ from netimmune import (
     __version__,
     degree_ranking,
 )
-from netimmune.epidemic import SimulationOutcome
-from netimmune.harness import _FIELDS, ComparisonTable, StrategyResult, table_json_obj
+from netimmune.epidemic import RateModel, SimulationOutcome
+from netimmune.harness import ComparisonTable, StrategyResult, table_json_obj
 
 CONFIG = ExperimentConfig(graph="g.edges", budget=BudgetSpec.from_count(1), seeds=(0,),
                           strategies=(Strategy.DEGREE, Strategy.AV11), steps=3, trials=2,
@@ -101,8 +101,17 @@ def test_gap_report_json():
         '"optimal_lambda1": 0.0, "av11_set": [1], "av11_lambda1": 0.0}')
 
 
-def test_parse_table_follows_the_fields():
-    assert list(_FIELDS) == [f.name for f in fields(ExperimentConfig)]
+def test_rate_model_json():
+    rates = RateModel(beta={(1, 0): 0.25, (0, 1): 0.5}, delta={1: 0.125, 0: 0.75},
+                      beta_range=(0.1, 0.4), delta_range=None, seed=3)
+    assert json.dumps(rates.to_json_obj()) == (
+        '{"beta": [[0, 1, 0.5], [1, 0, 0.25]], "delta": [[0, 0.75], [1, 0.125]], '
+        '"beta_range": [0.1, 0.4], "delta_range": null, "seed": 3}')
+
+
+def test_every_config_field_declares_its_json_reader():
+    for f in fields(ExperimentConfig):
+        assert callable(f.metadata.get("read")), f.name
 
 
 # One value per field that differs from CONFIG's.

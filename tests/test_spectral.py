@@ -117,6 +117,15 @@ class TestAv11Select:
         with pytest.raises(ValueError):
             av11_select(p3, 4)
 
+    @pytest.mark.parametrize("budget", [2.7, "3", True, None])
+    def test_non_integer_budget_rejected(self, p3, budget):
+        with pytest.raises(ValueError, match="budget must be an integer in \\[0, 3\\]"):
+            av11_select(p3, budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        g = random_graph(9, 0.4, 3)
+        assert av11_select(g, np.int64(3)) == av11_select(g, 3)
+
     def test_odd_power_rejected(self, p3):
         with pytest.raises(ValueError):
             av11_select(p3, 1, power=3)
@@ -254,6 +263,17 @@ class TestSeparationBound:
             separation_lower_bound(spectrum(p3), 3)
         with pytest.raises(ValueError):
             separation_lower_bound(spectrum(p3), -1)
+
+    @pytest.mark.parametrize("node", [1.0, 0.5, True, "1"])
+    def test_non_integer_node_ids_rejected(self, p3, node):
+        with pytest.raises(ValueError, match=f"node {node!r} is not an integer id"):
+            masked_adjacency(p3, [0, node])
+        with pytest.raises(ValueError, match=f"node {node!r} is not an integer id"):
+            trace_power_bound(p3, [node])
+
+    def test_numpy_integer_node_ids_accepted(self, p3):
+        assert (masked_adjacency(p3, [np.int64(1)]) == masked_adjacency(p3, [1])).all()
+        assert trace_power_bound(p3, [np.int32(1)]) == trace_power_bound(p3, [1])
 
     def test_floor_holds_exhaustively(self):
         for seed in range(4):
