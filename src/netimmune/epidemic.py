@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, Ranking, Strategy, _is_index, _is_int, _json_obj
+from .graph import Graph, Ranking, Strategy, _is_int, _json_obj, _node_ids
 
 # Spawn-key prefix separating calibration draws from comparison trials.
 _CALIBRATION_STREAM = 104729
@@ -394,7 +394,11 @@ def exact_probability_iteration(m: ModifiedMatrix, p0: Sequence[float],
 
 @dataclass(frozen=True)
 class SimulationOutcome:
-    """One trial's infection trace under a fixed immunization set."""
+    """One trial's infection trace under a fixed immunization set.
+
+    The trial replays from (master_seed, trial_index), not from ``default_rng(trial_seed)``;
+    trial_seed is the first state word of SeedSequence(master_seed, spawn_key=(trial_index,)).
+    """
 
     infected_counts: tuple[int, ...]
     final_infected: tuple[int, ...]
@@ -530,20 +534,12 @@ class _EdgeEscape:
 
 
 def _masks(n: int, seeds: Iterable[int], immunized: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    seed_set, immune_set = set(seeds), set(immunized)
-    for name, s in (("seed", seed_set), ("immunized", immune_set)):
-        for i in s:
-            if not _is_index(i):
-                raise ValueError(f"{name} node {i!r} is not an integer id")
-            if not 0 <= i < n:
-                raise ValueError(f"{name} node {i} out of range for n={n}")
-    overlap = seed_set & immune_set
+    seed_mask, immune_mask = np.zeros((2, n), dtype=bool)
+    seed_mask[_node_ids(seeds, n, "seed node")] = True
+    immune_mask[_node_ids(immunized, n, "immunized node")] = True
+    overlap = np.flatnonzero(seed_mask & immune_mask).tolist()
     if overlap:
-        raise ValueError(f"seed nodes {sorted(overlap)} cannot be immunized")
-    seed_mask = np.zeros(n, dtype=bool)
-    seed_mask[sorted(seed_set)] = True
-    immune_mask = np.zeros(n, dtype=bool)
-    immune_mask[sorted(immune_set)] = True
+        raise ValueError(f"seed nodes {overlap} cannot be immunized")
     return seed_mask, immune_mask
 
 
@@ -579,12 +575,12 @@ def _run_trials(g: Graph, r: RateModel, seeds: Iterable[int] | None,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = g.n
-    receivers, sources, beta, delta = _rate_edges(g, r)
-    kernel = _EdgeEscape if n * n > _EDGE_COST * (beta.size + n) else _DenseEscape
-    escape = kernel(n, receivers, sources, _log_survival(beta, receivers))
     seed_list = () if seeds is None else tuple(seeds)
     seed_mask, _ = _masks(n, seed_list, ())
     immune = [_masks(n, seed_list, imm)[1] for imm in immunized_sets]
+    receivers, sources, beta, delta = _rate_edges(g, r)
+    kernel = _EdgeEscape if n * n > _EDGE_COST * (beta.size + n) else _DenseEscape
+    escape = kernel(n, receivers, sources, _log_survival(beta, receivers))
     can_catch = ~np.array(immune, dtype=bool).reshape(len(immune), 1, n)
     chunk = max(1, _CHUNK_BYTES // (max(1, len(immune)) * escape.row_bytes))
 
@@ -628,8 +624,8 @@ def simulate_sis(g: Graph, r: RateModel, seeds: Iterable[int], immunized: Iterab
     or concurrently, and two simulations sharing a master seed are paired
     trial by trial (common random numbers).
     """
-    seeds = sorted(set(seeds))
-    immunized = sorted(set(immunized))
+    seeds = _node_ids(seeds, g.n, "seed node")
+    immunized = _node_ids(immunized, g.n, "immunized node")
     params = {
         "steps": steps,
         "trials": trials,
@@ -667,7 +663,8 @@ def simulate_sis_paired(g: Graph, r: RateModel, seeds: Iterable[int],
     (sets, steps + 1)). Every set replays the same per-trial draws, so row s
     equals what ``simulate_sis`` gives for ``immunized_sets[s]``.
     """
-    runs = _run_trials(g, r, sorted(set(seeds)), immunized_sets, steps, trials, master_seed)
+    seeds = _node_ids(seeds, g.n, "seed node")
+    runs = _run_trials(g, r, seeds, immunized_sets, steps, trials, master_seed)
     finals = np.empty((len(immunized_sets), trials), dtype=np.int64)
     totals = np.zeros((len(immunized_sets), steps + 1), dtype=np.int64)
     for first, t, infected in runs:

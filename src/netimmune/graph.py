@@ -57,6 +57,17 @@ def _is_index(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _node_ids(ids: Iterable, n: int, what: str) -> list[int]:
+    """Sorted distinct ints; ValueError at the first id that is not an integer in [0, n)."""
+    ids = list(ids)
+    for i in ids:
+        if not _is_index(i):
+            raise ValueError(f"{what} {i!r} is not an integer id")
+        if not 0 <= i < n:
+            raise ValueError(f"{what} {i} out of range for n={n}")
+    return sorted(set(map(int, ids)))
+
+
 class Graph:
     """Immutable undirected simple graph on contiguous node ids 0..n-1.
 
@@ -145,7 +156,7 @@ class BudgetSpec:
     def __post_init__(self):
         if (self.count is None) == (self.fraction is None):
             raise ValueError("specify exactly one of count or fraction")
-        if self.count is not None and (not isinstance(self.count, int) or self.count < 0):
+        if self.count is not None and (not _is_int(self.count) or self.count < 0):
             raise ValueError(f"budget count must be a non-negative integer, got {self.count!r}")
         if self.fraction is not None and not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"budget fraction must be in [0, 1], got {self.fraction!r}")

@@ -31,6 +31,7 @@ from .graph import (
     Strategy,
     _is_int,
     _json_obj,
+    _node_ids,
     ieee118_graph,
     load_graph_path,
 )
@@ -217,13 +218,7 @@ class ComparisonTable:
 def immunization_set(order, k: int, seeds) -> list[int]:
     """First k ranked nodes, skipping infection seeds."""
     seed_set = set(seeds)
-    chosen = []
-    for node in order:
-        if node in seed_set:
-            continue
-        chosen.append(node)
-        if len(chosen) == k:
-            break
+    chosen = [v for v in order if v not in seed_set][:k]
     if len(chosen) < k:
         raise ValueError(f"ranking exhausted before {k} non-seed nodes were found")
     return chosen
@@ -238,14 +233,14 @@ def run_compare(config: ExperimentConfig) -> ComparisonTable:
     """Execute the full comparison protocol for every configured strategy."""
     g = resolve_graph(config.graph, config.graph_format, config.relabel)
     k = config.budget.resolve(g.n)
-    if k >= g.n:
-        raise ValueError(f"budget {k} must be smaller than the node count {g.n}")
-    seeds = config.seeds if config.seeds is not None else default_seeds(g, config.master_seed)
-    if len(seeds) == 0:
+    given = config.seeds if config.seeds is not None else default_seeds(g, config.master_seed)
+    seeds = _node_ids(given, g.n, "seed node")
+    if not seeds:
         raise ValueError("seed set must not be empty")
-    if k > g.n - len(set(seeds)):
-        raise ValueError(f"budget {k} exceeds the {g.n - len(set(seeds))} non-seed nodes")
-    resolved = replace(config, seeds=tuple(seeds))
+    if k > g.n - len(seeds):
+        raise ValueError(f"budget {k} exceeds the {g.n - len(seeds)} non-seed nodes")
+    # Recorded as given: config_sha256 hashes the seeds in this order.
+    resolved = replace(config, seeds=tuple(given))
 
     rates = build_rates(g, config.beta_range, config.delta_range,
                         rate_seed_for(config.master_seed))

@@ -37,7 +37,7 @@ import numpy as np
 
 from .graph import Graph, _is_index, _json_obj
 # Imported by name, so that patching oracle._residuals counts only the oracle's solves.
-from .spectral import (DEFAULT_POWER, _check_budget, _residuals, av11_select,
+from .spectral import (DEFAULT_POWER, _check_budget, _check_power, _residuals, av11_select,
                        separation_lower_bound, spectrum)
 
 SUBSET_LIMIT = 10_000_000
@@ -97,11 +97,12 @@ class CombinationGuardError(ValueError):
             f"{SUBSET_LIMIT}; the exact search is refused")
 
 
-def _check_guard(n: int, k: int) -> None:
-    _check_budget(k, n)
+def _check_guard(n: int, k) -> int:
+    k = _check_budget(k, n)
     count = math.comb(n, k)
     if count > SUBSET_LIMIT:
         raise CombinationGuardError(n, k, count)
+    return k
 
 
 def optimal_removal(g: Graph, k: int,
@@ -142,7 +143,7 @@ def optimal_removal(g: Graph, k: int,
     slack, since no such subset can tie or beat it. The result equals the
     tie rule applied to ``removal_table``, bit for bit.
     """
-    _check_guard(g.n, k)
+    k = _check_guard(g.n, k)
     if start is None:
         start = av11_select(g, k)[0]
     start_row = _start_row(start, g.n, k)
@@ -188,7 +189,7 @@ def removal_table(g: Graph, k: int) -> Iterator[tuple[tuple[int, ...], float]]:
     Rows are computed one stacked eigvalsh batch at a time as they are
     consumed, so streaming them to a file holds one batch, not the table.
     """
-    _check_guard(g.n, k)
+    k = _check_guard(g.n, k)
     a = g.adjacency_matrix()
     for subsets in _subsets(np.zeros(g.n), k, _solve_batch(g.n)):
         yield from zip(map(tuple, subsets.tolist()), _residuals(a, subsets).tolist())
@@ -346,7 +347,7 @@ def gap_report(g: Graph, k: int, power: int = DEFAULT_POWER) -> GapReport:
     be negative; the clamped value max(floor, 0) is reported alongside since
     the residual lambda_1 of a simple graph is never negative.
     """
-    # AV11 first: it rejects a bad power before the exact search runs.
+    k, power = _check_guard(g.n, k), _check_power(power)
     av11_set, av11_lam = av11_select(g, k, power=power)
     best_set, best_lam = optimal_removal(g, k, start=av11_set)
     floor = separation_lower_bound(spectrum(g), k) if k < g.n else 0.0

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, Ranking, Strategy, _is_index
+from .graph import Graph, Ranking, Strategy, _is_index, _node_ids
 
 # Even power of the trace surrogate. Larger p tracks lambda_1 more tightly
 # (the l_p norm of the shifted spectrum falls toward its max entry); 64 keeps
@@ -90,13 +90,8 @@ def diagonal_shift(g: Graph) -> float:
 
 def masked_adjacency(g: Graph, removed: Iterable[int]) -> np.ndarray:
     """Adjacency matrix with the rows and columns of ``removed`` zeroed (Z A Z)."""
+    idx = _node_ids(removed, g.n, "node")
     a = g.adjacency_matrix().copy()
-    idx = list(removed)
-    for i in idx:
-        if not _is_index(i):
-            raise ValueError(f"node {i!r} is not an integer id")
-        if not 0 <= i < g.n:
-            raise ValueError(f"node {i} out of range for n={g.n}")
     a[idx, :] = 0.0
     a[:, idx] = 0.0
     return a
@@ -116,15 +111,16 @@ def _residuals(a: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(masked)[:, -1]
 
 
-def _check_budget(k, n: int) -> None:
+def _check_budget(k, n: int) -> int:
     if not (_is_index(k) and 0 <= k <= n):
         raise ValueError(f"budget must be an integer in [0, {n}], got {k!r}")
+    return int(k)
 
 
-def _check_power(p: int) -> int:
-    if not isinstance(p, int) or p <= 0 or p % 2 != 0:
+def _check_power(p) -> int:
+    if not (_is_index(p) and p > 0 and p % 2 == 0):
         raise ValueError(f"power must be a positive even integer, got {p!r}")
-    return p
+    return int(p)
 
 
 def _argmax_lowest_id(values: np.ndarray) -> int:
@@ -258,8 +254,8 @@ def av11_select(g: Graph, budget: int,
     entry has fallen past _REFRESH_RATIO. Removed nodes are outside B and
     never candidates.
     """
-    _check_power(power)
-    _check_budget(budget, g.n)
+    power = _check_power(power)
+    budget = _check_budget(budget, g.n)
     h = power // 2
     d = diagonal_shift(g)
     a = g.adjacency_matrix()
@@ -342,9 +338,7 @@ def separation_lower_bound(spec: Spectrum, k: int) -> float:
     of the full matrix, so no budget-k immunization can push the residual
     lambda_1 below this value.
     """
-    if not 0 <= k < spec.n:
-        raise ValueError(f"k must be in [0, {spec.n - 1}], got {k}")
-    return float(spec.values[k])
+    return float(spec.values[_check_budget(k, spec.n - 1)])
 
 
 def trace_power_bound(g: Graph, mask: Iterable[int],
@@ -354,9 +348,9 @@ def trace_power_bound(g: Graph, mask: Iterable[int],
     Returns (trace((Z A Z + d I)^p)^(1/p) - d, lambda_1(Z A Z)). The first
     component always dominates the second; the gap shrinks as p grows.
     """
-    _check_power(power)
-    d = diagonal_shift(g)
+    power = _check_power(power)
     w = np.linalg.eigvalsh(masked_adjacency(g, mask))
+    d = diagonal_shift(g)
     # trace = sum(s**p) for the shifted spectrum s >= 1; factoring out
     # s_max**p keeps every term in (0, 1].
     s = w + d

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from itertools import combinations
 from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netimmune import (
     BudgetSpec,
@@ -18,7 +21,9 @@ from netimmune import (
     build_rates,
     cli,
     epidemic,
+    harness,
     modified_matrix,
+    serialize_graph,
     strategies,
 )
 from netimmune.cli import main
@@ -30,6 +35,8 @@ from netimmune.harness import (
     run_compare,
     write_table_csv,
 )
+
+from conftest import gnp_graphs
 
 
 @pytest.fixture
@@ -279,6 +286,32 @@ class TestCompareCommand:
         means = {row[2] for row in rows}
         stds = {row[3] for row in rows}
         assert len(means) == 1 and len(stds) == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(gnp_graphs(max_n=9), st.data())
+    def test_budget_zero_immunizes_nothing(self, g, data):
+        """At budget 0 no row immunizes a node, so under common random numbers
+        every row replays the same trials."""
+        seeds = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.json")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(serialize_graph(g, "json"))
+            table = run_compare(ExperimentConfig(
+                graph=path, budget=BudgetSpec.from_count(0), seeds=tuple(sorted(seeds)),
+                steps=6, trials=5, calibration_trials=3,
+                master_seed=data.draw(st.integers(0, 2**32 - 1))))
+        assert [row.immunized for row in table.rows] == [()] * len(table.rows)
+        assert len({row.final_counts for row in table.rows}) == 1
+
+    def test_out_of_range_seed_exits_3_before_any_ranker(self, capsys, monkeypatch):
+        def ranker(*args, **kwargs):
+            raise AssertionError("a ranker ran")
+
+        monkeypatch.setattr(harness, "compute_ranking", ranker)
+        assert main(["compare", "--graph", "ieee118", "--budget", "16%",
+                     "--seeds", "500"]) == 3
+        assert capsys.readouterr().err == "error: seed node 500 out of range for n=118\n"
 
     def test_replay_byte_identical_csv(self, tmp_path):
         import networkx as nx

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import deque
 from contextlib import contextmanager
@@ -799,6 +800,10 @@ class TestSimulateSis:
         ([0.5], [], "seed node 0.5 is not an integer id"),
         ([0], [True], "immunized node True is not an integer id"),
         ([0], [2.0], "immunized node 2.0 is not an integer id"),
+        # Each id is checked before duplicates are merged: True == 1.0 == 1.
+        ([0], [1, True], "immunized node True is not an integer id"),
+        ([0], [1, 1.0], "immunized node 1.0 is not an integer id"),
+        ([1, True], [], "seed node True is not an integer id"),
     ])
     def test_non_integer_node_ids_rejected(self, c4, seeds, immunized, message):
         r = constant_rates(c4, 0.5, 0.5)
@@ -816,6 +821,8 @@ class TestSimulateSis:
         numpy = simulate_sis(c4, r, [np.int64(0)], [np.int32(2)], steps=5, trials=2,
                              master_seed=0)
         assert [o.infected_counts for o in numpy] == [o.infected_counts for o in ints]
+        assert json.dumps([o.to_json_obj() for o in numpy]) == json.dumps(
+            [o.to_json_obj() for o in ints])
 
     def test_invalid_protocol_rejected(self, c4):
         r = constant_rates(c4, 0.5, 0.5)

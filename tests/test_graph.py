@@ -260,6 +260,8 @@ class TestBudgetSpec:
             BudgetSpec.from_count(-1)
         with pytest.raises(ValueError):
             BudgetSpec(count=1, fraction=0.5)
+        with pytest.raises(ValueError, match="budget count must be a non-negative integer"):
+            BudgetSpec(count=True)
 
     def test_parse(self):
         assert BudgetSpec.parse("19").count == 19

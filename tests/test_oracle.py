@@ -1,4 +1,5 @@
 import io
+import json
 import math
 from itertools import combinations
 
@@ -399,6 +400,13 @@ class TestGapReport:
         monkeypatch.setattr(oracle, "optimal_removal", search)
         with pytest.raises(ValueError, match="power must be a positive even integer"):
             gap_report(random_graph(9, 0.4, 3), 2, power=3)
+
+    def test_numpy_integers_reported_as_ints(self):
+        path5 = Graph(5, [(i, i + 1) for i in range(4)])
+        rep = gap_report(path5, np.int64(2), power=np.int64(16))
+        assert rep == gap_report(path5, 2, power=16)
+        assert type(rep.k) is int and type(rep.power) is int
+        assert json.loads(json.dumps(rep.to_json_obj())) == rep.to_json_obj()
 
     def test_k0_everything_equals_lambda1(self, c4):
         rep = gap_report(c4, 0)

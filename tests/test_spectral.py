@@ -126,6 +126,12 @@ class TestAv11Select:
         g = random_graph(9, 0.4, 3)
         assert av11_select(g, np.int64(3)) == av11_select(g, 3)
 
+    def test_numpy_integer_power_accepted(self):
+        g = random_graph(9, 0.4, 3)
+        assert av11_select(g, 2, power=np.int64(64)) == av11_select(g, 2, power=64)
+        assert (trace_power_bound(g, [0], power=np.int32(16))
+                == trace_power_bound(g, [0], power=16))
+
     def test_odd_power_rejected(self, p3):
         with pytest.raises(ValueError):
             av11_select(p3, 1, power=3)
@@ -263,6 +269,10 @@ class TestSeparationBound:
             separation_lower_bound(spectrum(p3), 3)
         with pytest.raises(ValueError):
             separation_lower_bound(spectrum(p3), -1)
+        for k in (True, 1.0):
+            with pytest.raises(ValueError, match="budget must be an integer in \\[0, 2\\]"):
+                separation_lower_bound(spectrum(p3), k)
+        assert separation_lower_bound(spectrum(p3), np.int64(1)) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("node", [1.0, 0.5, True, "1"])
     def test_non_integer_node_ids_rejected(self, p3, node):
