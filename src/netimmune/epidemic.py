@@ -13,10 +13,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, Ranking, Strategy, _is_int, _json_obj, _node_ids
-
-# Spawn-key prefix separating calibration draws from comparison trials.
-_CALIBRATION_STREAM = 104729
+from .graph import Graph, Ranking, Strategy, _is_index, _is_int, _json_obj, _node_ids
 
 # Working-memory caps of the Monte-Carlo kernel. Trials run in chunks whose
 # per-step state stays under _CHUNK_BYTES: at most _STATE_BYTES per set,
@@ -412,11 +409,12 @@ class SimulationOutcome:
 
 @dataclass(frozen=True)
 class SimulationProtocol:
-    """Parameters of the no-immunization calibration run behind most-infected.
+    """Parameters of one Monte-Carlo run, such as the calibration behind most-infected.
 
     ``seeds=None`` rotates the seed across trials (trial t starts at node
     t mod n), scoring how often nodes catch infections started anywhere
-    rather than from one fixed source set.
+    rather than from one fixed source set. Steps and trials are integers >= 1
+    and master_seed >= 0 (Python or numpy, not bool), stored as Python ints.
     """
 
     seeds: tuple[int, ...] | None = None
@@ -424,10 +422,28 @@ class SimulationProtocol:
     trials: int = 100
     master_seed: int = 0
 
+    def __post_init__(self):
+        for name, least in (("steps", 1), ("trials", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if not (_is_index(value) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
-def _trial_seed_sequence(master_seed: int, trial: int,
-                         stream: tuple[int, ...] = ()) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=stream + (trial,))
+
+# Every random stream is _stream(master_seed, *key), one key each:
+#   (t,)                       comparison trial t (simulate_sis, simulate_sis_paired)
+#   (_CALIBRATION_STREAM, t)   calibration trial t (most_infected_ranking)
+#   (_RATE_STREAM,)            the rate model's seed (harness.rate_seed_for)
+#   (_SEED_STREAM,)            the default seed set (harness.default_seeds)
+# The last two are trial keys too: trial 5077 replays the default seed set's draws, and
+# trial 7919's trial_seed is the rate seed. Moving either would move every such output.
+_CALIBRATION_STREAM = 104729
+_RATE_STREAM = 7919
+_SEED_STREAM = 5077
+
+
+def _stream(master_seed: int, *key: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=master_seed, spawn_key=key)
 
 
 def _log_survival(beta: np.ndarray, receivers: np.ndarray) -> np.ndarray:
@@ -543,9 +559,9 @@ def _masks(n: int, seeds: Iterable[int], immunized: Iterable[int]) -> tuple[np.n
     return seed_mask, immune_mask
 
 
-def _run_trials(g: Graph, r: RateModel, seeds: Iterable[int] | None,
-                immunized_sets: Sequence[Iterable[int]], steps: int, trials: int,
-                master_seed: int, stream: tuple[int, ...] = ()) -> Iterator[tuple]:
+def _run_trials(g: Graph, r: RateModel, protocol: SimulationProtocol,
+                immunized_sets: Sequence[Iterable[int]],
+                stream: tuple[int, ...] = ()) -> Iterator[tuple]:
     """Run every immunization set's trials together; iterate (first trial, t, infected).
 
     ``infected`` is the boolean (sets, trials in chunk, n) state at step t =
@@ -554,8 +570,8 @@ def _run_trials(g: Graph, r: RateModel, seeds: Iterable[int] | None,
     (master_seed, stream, t), 2n uniforms per step (recoveries, then
     infections) whatever its state, and every set shares that draw, so the
     sets are paired by common random numbers and a trial's stream does not
-    depend on the chunking. ``seeds=None`` rotates a single seed: trial t
-    starts at node t mod n.
+    depend on the chunking. ``protocol.seeds=None`` rotates a single seed:
+    trial t starts at node t mod n.
 
     Within a step: recoveries are decided on the pre-step infected set, then
     every pre-step infected node transmits; post-recovery susceptibles
@@ -570,10 +586,7 @@ def _run_trials(g: Graph, r: RateModel, seeds: Iterable[int] | None,
     makes every sum exact, so both kernels give the same bits and the choice
     changes only speed.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    seeds, steps, trials = protocol.seeds, protocol.steps, protocol.trials
     n = g.n
     seed_list = () if seeds is None else tuple(seeds)
     seed_mask, _ = _masks(n, seed_list, ())
@@ -586,7 +599,7 @@ def _run_trials(g: Graph, r: RateModel, seeds: Iterable[int] | None,
 
     def advance() -> Iterator[tuple]:
         for first in range(0, trials, chunk):
-            rngs = [np.random.default_rng(_trial_seed_sequence(master_seed, t, stream))
+            rngs = [np.random.default_rng(_stream(protocol.master_seed, *stream, t))
                     for t in range(first, min(first + chunk, trials))]
             c = len(rngs)
             infected = np.zeros((len(immune), c, n), dtype=bool)
@@ -625,30 +638,31 @@ def simulate_sis(g: Graph, r: RateModel, seeds: Iterable[int], immunized: Iterab
     trial by trial (common random numbers).
     """
     seeds = _node_ids(seeds, g.n, "seed node")
+    protocol = SimulationProtocol(seeds, steps, trials, master_seed)
     immunized = _node_ids(immunized, g.n, "immunized node")
     params = {
-        "steps": steps,
-        "trials": trials,
+        "steps": protocol.steps,
+        "trials": protocol.trials,
         "seeds": seeds,
         "immunized": immunized,
-        "master_seed": master_seed,
+        "master_seed": protocol.master_seed,
     }
-    runs = _run_trials(g, r, seeds, [immunized], steps, trials, master_seed)
-    counts = np.empty((trials, steps + 1), dtype=np.int64)
+    runs = _run_trials(g, r, protocol, [immunized])
+    counts = np.empty((protocol.trials, protocol.steps + 1), dtype=np.int64)
     finals = []
     for first, t, infected in runs:
         counts[first:first + infected.shape[1], t] = infected[0].sum(axis=1)
-        if t == steps:
+        if t == protocol.steps:
             finals.extend(row.nonzero()[0] for row in infected[0])
     return [
         SimulationOutcome(
             infected_counts=tuple(counts[trial].tolist()),
             final_infected=tuple(finals[trial].tolist()),
             trial_index=trial,
-            trial_seed=int(_trial_seed_sequence(master_seed, trial).generate_state(1)[0]),
+            trial_seed=int(_stream(protocol.master_seed, trial).generate_state(1)[0]),
             params=params,
         )
-        for trial in range(trials)
+        for trial in range(protocol.trials)
     ]
 
 
@@ -663,14 +677,14 @@ def simulate_sis_paired(g: Graph, r: RateModel, seeds: Iterable[int],
     (sets, steps + 1)). Every set replays the same per-trial draws, so row s
     equals what ``simulate_sis`` gives for ``immunized_sets[s]``.
     """
-    seeds = _node_ids(seeds, g.n, "seed node")
-    runs = _run_trials(g, r, seeds, immunized_sets, steps, trials, master_seed)
-    finals = np.empty((len(immunized_sets), trials), dtype=np.int64)
-    totals = np.zeros((len(immunized_sets), steps + 1), dtype=np.int64)
+    protocol = SimulationProtocol(_node_ids(seeds, g.n, "seed node"), steps, trials, master_seed)
+    runs = _run_trials(g, r, protocol, immunized_sets)
+    finals = np.empty((len(immunized_sets), protocol.trials), dtype=np.int64)
+    totals = np.zeros((len(immunized_sets), protocol.steps + 1), dtype=np.int64)
     for first, t, infected in runs:
         counts = infected.sum(axis=2)
         totals[:, t] += counts.sum(axis=1)
-        if t == steps:
+        if t == protocol.steps:
             finals[:, first:first + counts.shape[1]] = counts
     return finals, totals
 
@@ -682,8 +696,7 @@ def most_infected_ranking(g: Graph, r: RateModel,
     Uses a dedicated RNG stream so the calibration never shares draws with
     the comparison trials of the same master seed.
     """
-    runs = _run_trials(g, r, protocol.seeds, [()], protocol.steps, protocol.trials,
-                       protocol.master_seed, stream=(_CALIBRATION_STREAM,))
+    runs = _run_trials(g, r, protocol, [()], stream=(_CALIBRATION_STREAM,))
     totals = np.zeros(g.n, dtype=np.int64)
     for _, _, infected in runs:
         totals += infected[0].sum(axis=0)

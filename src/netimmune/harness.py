@@ -20,6 +20,9 @@ from ._version import __version__
 # the attribute perfbench's tracing wrappers patch.
 from .epidemic import (  # noqa: F401
     SimulationProtocol,
+    _RATE_STREAM,
+    _SEED_STREAM,
+    _stream,
     build_rates,
     simulate_sis,
     simulate_sis_paired,
@@ -38,11 +41,6 @@ from .graph import (
 from .spectral import DEFAULT_POWER, _check_power
 from .strategies import compute_ranking
 
-# Spawn-key prefixes for drawing the rate model / default seed set out of
-# the master seed without touching the trial streams.
-_RATE_STREAM = 7919
-_SEED_STREAM = 5077
-
 
 def _budget_spec(value) -> BudgetSpec:
     """A budget as text ("19", "16%", "0.16") or as {"count": k} or {"fraction": f}."""
@@ -51,7 +49,7 @@ def _budget_spec(value) -> BudgetSpec:
     if isinstance(value, dict) and value.keys() <= {"count", "fraction"}:
         count, fraction = value.get("count"), value.get("fraction")
         if fraction is None and count is not None:
-            return BudgetSpec.from_count(_int(count))
+            return BudgetSpec.from_count(count)
         if count is None and _is_number(fraction):
             return BudgetSpec.from_fraction(fraction)
     raise ValueError('budget must be text or an object with exactly one of integer '
@@ -60,12 +58,6 @@ def _budget_spec(value) -> BudgetSpec:
 
 def _is_number(v) -> bool:
     return _is_int(v) or isinstance(v, float)
-
-
-def _int(value) -> int:
-    if not _is_int(value):
-        raise ValueError("must be an integer")
-    return value
 
 
 def _seeds(value) -> tuple[int, ...]:
@@ -98,6 +90,11 @@ def _strategies(value) -> tuple[Strategy, ...]:
     return strategies
 
 
+def _protocol(name: str):
+    """Reader of a SimulationProtocol field: that record's check and stored int."""
+    return lambda value: getattr(SimulationProtocol(**{name: value}), name)
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError("must be true or false")
@@ -124,11 +121,11 @@ class ExperimentConfig:
     strategies: tuple[Strategy, ...] = _key(_strategies, DEFAULT_COMPARISON_STRATEGIES)
     beta_range: tuple[float, float] = _key(_range, (0.1, 0.4))
     delta_range: tuple[float, float] = _key(_range, (0.2, 0.5))
-    steps: int = _key(_int, 200)
-    trials: int = _key(_int, 200)
-    master_seed: int = _key(_int, 42)
+    steps: int = _key(_protocol("steps"), 200)
+    trials: int = _key(_protocol("trials"), 200)
+    master_seed: int = _key(_protocol("master_seed"), 42)
     power: int = _key(_check_power, DEFAULT_POWER)
-    calibration_trials: int = _key(_int, 100)
+    calibration_trials: int = _key(_protocol("trials"), 100)
     output_csv: str | None = _key(_text, None, hashed=False)
     output_json: str | None = _key(_text, None, hashed=False)
 
@@ -181,8 +178,7 @@ def default_seeds(g: Graph, master_seed: int) -> tuple[int, ...]:
     to cover that one neighborhood quarantines the infection outright).
     """
     count = max(1, round(0.05 * g.n))
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(_SEED_STREAM,)))
+    rng = np.random.default_rng(_stream(master_seed, _SEED_STREAM))
     return tuple(sorted(int(x) for x in rng.choice(g.n, size=count, replace=False)))
 
 
@@ -207,13 +203,6 @@ class ComparisonTable:
     budget_k: int
     rows: tuple[StrategyResult, ...]
 
-    def row(self, strategy: Strategy | str) -> StrategyResult:
-        strategy = Strategy(strategy)
-        for r in self.rows:
-            if r.strategy is strategy:
-                return r
-        raise KeyError(strategy)
-
 
 def immunization_set(order, k: int, seeds) -> list[int]:
     """First k ranked nodes, skipping infection seeds."""
@@ -225,15 +214,18 @@ def immunization_set(order, k: int, seeds) -> list[int]:
 
 
 def rate_seed_for(master_seed: int) -> int:
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(_RATE_STREAM,))
-    return int(ss.generate_state(1)[0])
+    return int(_stream(master_seed, _RATE_STREAM).generate_state(1)[0])
 
 
 def run_compare(config: ExperimentConfig) -> ComparisonTable:
     """Execute the full comparison protocol for every configured strategy."""
+    # Both runs' counts are checked first. The calibration rotates its seed: most-infected
+    # scores generic spreading propensity, not familiarity with this run's seed set.
+    run = SimulationProtocol(None, config.steps, config.trials, config.master_seed)
+    calibration = replace(run, trials=config.calibration_trials)
     g = resolve_graph(config.graph, config.graph_format, config.relabel)
     k = config.budget.resolve(g.n)
-    given = config.seeds if config.seeds is not None else default_seeds(g, config.master_seed)
+    given = config.seeds if config.seeds is not None else default_seeds(g, run.master_seed)
     seeds = _node_ids(given, g.n, "seed node")
     if not seeds:
         raise ValueError("seed set must not be empty")
@@ -243,21 +235,16 @@ def run_compare(config: ExperimentConfig) -> ComparisonTable:
     resolved = replace(config, seeds=tuple(given))
 
     rates = build_rates(g, config.beta_range, config.delta_range,
-                        rate_seed_for(config.master_seed))
-    # Rotating-seed calibration: most-infected scores generic spreading
-    # propensity, not familiarity with this run's particular seed set.
-    protocol = SimulationProtocol(seeds=None, steps=config.steps,
-                                  trials=config.calibration_trials,
-                                  master_seed=config.master_seed)
+                        rate_seed_for(run.master_seed))
 
     immunized_sets = [
         immunization_set(compute_ranking(strategy, g, power=config.power, rates=rates,
-                                         protocol=protocol).order, k, seeds)
+                                         protocol=calibration).order, k, seeds)
         for strategy in config.strategies
     ]
-    finals, totals = simulate_sis_paired(g, rates, seeds, immunized_sets, config.steps,
-                                         config.trials, config.master_seed)
-    raw_rows = list(zip(config.strategies, immunized_sets, finals, totals / config.trials))
+    finals, totals = simulate_sis_paired(g, rates, seeds, immunized_sets, run.steps,
+                                         run.trials, run.master_seed)
+    raw_rows = list(zip(config.strategies, immunized_sets, finals, totals / run.trials))
 
     raw_rows.sort(key=lambda r: (float(np.mean(r[2])), r[0].value))
     rows = []

@@ -29,7 +29,7 @@ from netimmune import (
     threshold_lambda,
     trace_power_bound,
 )
-from netimmune.epidemic import _masks, _trial_seed_sequence
+from netimmune.epidemic import _masks, _stream
 from netimmune.oracle import optimal_removal
 
 from conftest import dense_log_survival, star_graph
@@ -173,7 +173,7 @@ def test_exact_dynamics_consistency():
         delta = np.array([rates.delta[i] for i in range(g.n)])
         acc = np.zeros((horizon + 1, g.n))
         for trial in range(trials):
-            rng = np.random.default_rng(_trial_seed_sequence(0, trial))
+            rng = np.random.default_rng(_stream(0, trial))
             infected = seed_mask.copy()
             acc[0] += infected
             for t in range(1, horizon + 1):

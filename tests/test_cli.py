@@ -313,6 +313,30 @@ class TestCompareCommand:
                      "--seeds", "500"]) == 3
         assert capsys.readouterr().err == "error: seed node 500 out of range for n=118\n"
 
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--steps", "0"], {}, "key 'steps' rejects 0: steps must be an integer >= 1, got 0"),
+        (["--trials", "0"], {}, "key 'trials' rejects 0: trials must be an integer >= 1, got 0"),
+        ([], {"calibration_trials": 0},
+         "key 'calibration_trials' rejects 0: trials must be an integer >= 1, got 0"),
+        ([], {"master_seed": -1},
+         "key 'master_seed' rejects -1: master_seed must be an integer >= 0, got -1"),
+    ], ids=["steps", "trials", "calibration_trials", "master_seed"])
+    def test_bad_counts_exit_3_before_any_ranker(self, tmp_path, capsys, monkeypatch,
+                                                 flags, config, message):
+        def ranker(*args, **kwargs):
+            raise AssertionError("a ranker ran")
+
+        monkeypatch.setattr(harness, "compute_ranking", ranker)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"graph": "ieee118", "budget": "16%", **config}))
+        assert main(["compare", "--config", str(path), *flags]) == 3
+        assert capsys.readouterr().err == f"error: experiment config {message}\n"
+        # A config built in Python is checked before any ranker too.
+        key, value = (flags[0][2:], 0) if flags else next(iter(config.items()))
+        with pytest.raises(ValueError, match=message.split(": ", 1)[1]):
+            run_compare(ExperimentConfig(graph="ieee118", budget=BudgetSpec.from_count(3),
+                                         **{key: value}))
+
     def test_replay_byte_identical_csv(self, tmp_path):
         import networkx as nx
 

@@ -823,17 +823,37 @@ class TestSimulateSis:
         assert [o.infected_counts for o in numpy] == [o.infected_counts for o in ints]
         assert json.dumps([o.to_json_obj() for o in numpy]) == json.dumps(
             [o.to_json_obj() for o in ints])
+        # Numpy counts and master seeds are recorded as Python ints too.
+        numpy = simulate_sis(c4, r, [0], [2], steps=np.int64(5), trials=np.int32(2),
+                             master_seed=np.uint64(0))
+        assert json.dumps([o.to_json_obj() for o in numpy]) == json.dumps(
+            [o.to_json_obj() for o in ints])
+        protocol = SimulationProtocol(steps=np.int16(5), trials=np.int64(2),
+                                      master_seed=np.int64(0))
+        assert protocol == SimulationProtocol(steps=5, trials=2, master_seed=0)
+        assert all(type(v) is int for v in (protocol.steps, protocol.trials,
+                                             protocol.master_seed))
 
     def test_invalid_protocol_rejected(self, c4):
         r = constant_rates(c4, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            simulate_sis(c4, r, [0], [], steps=0, trials=2, master_seed=0)
-        with pytest.raises(ValueError):
-            simulate_sis(c4, r, [0], [], steps=5, trials=0, master_seed=0)
-        with pytest.raises(ValueError):
-            most_infected_ranking(c4, r, SimulationProtocol(steps=0, trials=2))
-        with pytest.raises(ValueError):
-            most_infected_ranking(c4, r, SimulationProtocol(steps=5, trials=0))
+        for steps, trials, master_seed, message in [
+            (0, 2, 0, "steps must be an integer >= 1, got 0"),
+            (5, 0, 0, "trials must be an integer >= 1, got 0"),
+            (-3, 2, 0, "steps must be an integer >= 1, got -3"),
+            (True, 2, 0, "steps must be an integer >= 1, got True"),
+            (5, True, 0, "trials must be an integer >= 1, got True"),
+            (2.5, 2, 0, "steps must be an integer >= 1, got 2.5"),
+            (5, 2.0, 0, "trials must be an integer >= 1, got 2.0"),
+            (5, 2, -1, "master_seed must be an integer >= 0, got -1"),
+            (5, 2, True, "master_seed must be an integer >= 0, got True"),
+            (5, 2, 1.5, "master_seed must be an integer >= 0, got 1.5"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                simulate_sis(c4, r, [0], [], steps, trials, master_seed)
+            with pytest.raises(ValueError, match=message):
+                simulate_sis_paired(c4, r, [0], [[]], steps, trials, master_seed)
+            with pytest.raises(ValueError, match=message):
+                most_infected_ranking(c4, r, SimulationProtocol(None, steps, trials, master_seed))
 
     def test_trials_reproducible_and_order_independent(self, c4):
         r = build_rates(c4, (0.2, 0.6), (0.1, 0.5), seed=8)
