@@ -23,7 +23,7 @@ from .epidemic import (
     simulate_sis,
     threshold_bracket,
 )
-from .graph import GraphFormatError, Strategy
+from .graph import GraphFormat, GraphFormatError, Strategy
 from .harness import (
     ExperimentConfig,
     default_seeds,
@@ -36,6 +36,7 @@ from .oracle import gap_report, removal_table, write_enumeration_csv
 from .spectral import DEFAULT_POWER, spectrum
 from .strategies import compute_ranking
 
+_FORMAT_NAMES = [f.value for f in GraphFormat]
 _STRATEGY_NAMES = [s.value for s in Strategy]
 _POWER_HELP = f"even power p of AV11's (Z A Z + d I)^p (default {DEFAULT_POWER})"
 
@@ -43,7 +44,7 @@ _POWER_HELP = f"even power p of AV11's (Z A Z + d I)^p (default {DEFAULT_POWER})
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True,
                    help='graph file path, or "ieee118" for the bundled IEEE 118-bus case')
-    p.add_argument("--fmt", choices=["edgelist", "json"], default=None,
+    p.add_argument("--fmt", choices=_FORMAT_NAMES, default=None,
                    help="graph format (default: inferred from suffix)")
     p.add_argument("--relabel", action="store_true",
                    help="remap non-contiguous integer ids to 0..n-1")
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON experiment config")
     p.add_argument("--graph", default=None,
                    help='graph file path or "ieee118" (overrides config)')
-    p.add_argument("--fmt", choices=["edgelist", "json"], default=None, dest="graph_format")
+    p.add_argument("--fmt", choices=_FORMAT_NAMES, default=None, dest="graph_format")
     p.add_argument("--relabel", action="store_true", default=None)
     p.add_argument("--budget", default=None, help='nodes to immunize: "19", "16%%" or "0.16"')
     p.add_argument("--strategies", nargs="+", choices=_STRATEGY_NAMES, default=None)

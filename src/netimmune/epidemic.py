@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, Ranking, Strategy, _is_index, _is_int, _json_obj, _node_ids
+from .graph import Graph, Ranking, Strategy, _is_int, _json_obj, _node_ids
 
 # Working-memory caps of the Monte-Carlo kernel. Trials run in chunks whose
 # per-step state stays under _CHUNK_BYTES: at most _STATE_BYTES per set,
@@ -425,7 +425,7 @@ class SimulationProtocol:
     def __post_init__(self):
         for name, least in (("steps", 1), ("trials", 1), ("master_seed", 0)):
             value = getattr(self, name)
-            if not (_is_index(value) and value >= least):
+            if not (_is_int(value) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
             object.__setattr__(self, name, int(value))
 

@@ -49,11 +49,7 @@ DEFAULT_COMPARISON_STRATEGIES: tuple[Strategy, ...] = (
 
 
 def _is_int(x) -> bool:
-    # bool subclasses int, but true/false are not node ids or counts.
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_index(x) -> bool:
+    """A Python or numpy integer; bool subclasses int, but true/false are not ids or counts."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
@@ -61,7 +57,7 @@ def _node_ids(ids: Iterable, n: int, what: str) -> list[int]:
     """Sorted distinct ints; ValueError at the first id that is not an integer in [0, n)."""
     ids = list(ids)
     for i in ids:
-        if not _is_index(i):
+        if not _is_int(i):
             raise ValueError(f"{what} {i!r} is not an integer id")
         if not 0 <= i < n:
             raise ValueError(f"{what} {i} out of range for n={n}")
@@ -83,8 +79,10 @@ class Graph:
             raise GraphFormatError(f"node count must be a positive integer, got {n!r}")
         canon = set()
         for u, v in edges:
-            if not (_is_int(u) and _is_int(v)):
-                raise GraphFormatError(f"edge ({u!r}, {v!r}): node ids must be integers")
+            if type(u) is not int or type(v) is not int:  # numpy ids are stored as ints
+                if not (_is_int(u) and _is_int(v)):
+                    raise GraphFormatError(f"edge ({u!r}, {v!r}): node ids must be integers")
+                u, v = int(u), int(v)
             if u == v:
                 raise GraphFormatError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -97,7 +95,7 @@ class Graph:
             if len(labels) != n:
                 raise GraphFormatError(
                     f"labels length {len(labels)} does not match node count {n}")
-        self.n = n
+        self.n = int(n)
         self.edges = frozenset(canon)
         self.labels = labels
         nbrs: list[list[int]] = [[] for _ in range(n)]
@@ -158,6 +156,7 @@ class BudgetSpec:
             raise ValueError("specify exactly one of count or fraction")
         if self.count is not None and (not _is_int(self.count) or self.count < 0):
             raise ValueError(f"budget count must be a non-negative integer, got {self.count!r}")
+        object.__setattr__(self, "count", None if self.count is None else int(self.count))
         if self.fraction is not None and not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"budget fraction must be in [0, 1], got {self.fraction!r}")
 

@@ -31,6 +31,7 @@ from .graph import (
     DEFAULT_COMPARISON_STRATEGIES,
     BudgetSpec,
     Graph,
+    GraphFormat,
     Strategy,
     _is_int,
     _json_obj,
@@ -43,7 +44,9 @@ from .strategies import compute_ranking
 
 
 def _budget_spec(value) -> BudgetSpec:
-    """A budget as text ("19", "16%", "0.16") or as {"count": k} or {"fraction": f}."""
+    """A BudgetSpec, budget text ("19", "16%", "0.16"), or {"count": k} or {"fraction": f}."""
+    if isinstance(value, BudgetSpec):
+        return value
     if isinstance(value, str):
         return BudgetSpec.parse(value)
     if isinstance(value, dict) and value.keys() <= {"count", "fraction"}:
@@ -57,21 +60,21 @@ def _budget_spec(value) -> BudgetSpec:
 
 
 def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    return _is_int(v) or isinstance(v, (float, np.floating))
 
 
 def _seeds(value) -> tuple[int, ...]:
-    if not (isinstance(value, list) and all(_is_int(v) for v in value)):
+    if not (isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)):
         raise ValueError("must be a list of integers")
-    return tuple(value)
+    return tuple(map(int, value))
 
 
 def _range(value) -> tuple[float, float]:
-    """A [lo, hi] pair, kept as given so integer ends hash as they always have."""
-    if not (isinstance(value, list) and len(value) == 2
+    """A [lo, hi] pair; integer ends stay integers, so they hash as they always have."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
             and all(_is_number(v) for v in value)):
         raise ValueError("must be a list of two numbers")
-    return tuple(value)
+    return tuple(int(v) if _is_int(v) else float(v) for v in value)
 
 
 def _text(value) -> str:
@@ -81,7 +84,7 @@ def _text(value) -> str:
 
 
 def _strategies(value) -> tuple[Strategy, ...]:
-    if not (isinstance(value, list) and value):
+    if not (isinstance(value, (list, tuple)) and value):
         raise ValueError("must be a nonempty list of strategy names")
     strategies = tuple(Strategy(name) for name in value)
     repeated = sorted({s.value for s in strategies if strategies.count(s) > 1})
@@ -102,7 +105,7 @@ def _flag(value) -> bool:
 
 
 def _key(read, default=MISSING, *, hashed: bool = True):
-    """An ExperimentConfig field read from JSON by ``read``; with no default, a required key."""
+    """An ExperimentConfig field, checked and stored by ``read``; with no default, required."""
     return field(default=default, metadata={"read": read, "hashed": hashed})
 
 
@@ -110,11 +113,12 @@ def _key(read, default=MISSING, *, hashed: bool = True):
 class ExperimentConfig:
     """Fully describes one comparison run; JSON round-trips losslessly.
 
-    The JSON form lists the fields in declaration order.
+    Every construction runs each field's reader: a bad value raises ValueError naming its
+    key, and the record holds Python values. JSON lists the fields in declaration order.
     """
 
     graph: str = _key(_text)
-    graph_format: str | None = _key(_text, None)
+    graph_format: str | None = _key(lambda value: GraphFormat(value).value, None)
     relabel: bool = _key(_flag, False)
     budget: BudgetSpec = _key(_budget_spec)
     seeds: tuple[int, ...] | None = _key(_seeds, None)
@@ -129,6 +133,17 @@ class ExperimentConfig:
     output_csv: str | None = _key(_text, None, hashed=False)
     output_json: str | None = _key(_text, None, hashed=False)
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            try:
+                object.__setattr__(self, f.name, f.metadata["read"](value))
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"experiment config key {f.name!r} rejects "
+                                 f"{value!r}: {e}") from None
+
     def to_json_obj(self) -> dict:
         return _json_obj(self)
 
@@ -137,23 +152,14 @@ class ExperimentConfig:
         """Build a config from its JSON form; absent or null optional keys take the defaults."""
         if not isinstance(obj, dict):
             raise ValueError("experiment config must be a JSON object")
-        names = {f.name for f in fields(cls)}
-        unknown = [key for key in obj if key not in names]
+        unknown = [key for key in obj if key not in {f.name for f in fields(cls)}]
         if unknown:
             raise ValueError(f"experiment config has unknown key(s) "
                              f"{', '.join(map(repr, unknown))}")
         for f in fields(cls):
             if f.default is MISSING and obj.get(f.name) is None:
                 raise ValueError(f"experiment config is missing the required key {f.name!r}")
-        kwargs = {}
-        for f in fields(cls):
-            if obj.get(f.name) is not None:
-                try:
-                    kwargs[f.name] = f.metadata["read"](obj[f.name])
-                except (TypeError, ValueError) as e:
-                    raise ValueError(f"experiment config key {f.name!r} rejects "
-                                     f"{obj[f.name]!r}: {e}") from None
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in obj.items() if v is not None})
 
     def config_sha256(self) -> str:
         """Digest of the parameters: every field but those marked ``hashed=False`` (the outputs)."""
@@ -219,32 +225,31 @@ def rate_seed_for(master_seed: int) -> int:
 
 def run_compare(config: ExperimentConfig) -> ComparisonTable:
     """Execute the full comparison protocol for every configured strategy."""
-    # Both runs' counts are checked first. The calibration rotates its seed: most-infected
-    # scores generic spreading propensity, not familiarity with this run's seed set.
-    run = SimulationProtocol(None, config.steps, config.trials, config.master_seed)
-    calibration = replace(run, trials=config.calibration_trials)
+    # A rotating seed: most-infected scores spreading in general, not from this run's seeds.
+    calibration = SimulationProtocol(None, config.steps, config.calibration_trials,
+                                     config.master_seed)
     g = resolve_graph(config.graph, config.graph_format, config.relabel)
     k = config.budget.resolve(g.n)
-    given = config.seeds if config.seeds is not None else default_seeds(g, run.master_seed)
+    given = config.seeds if config.seeds is not None else default_seeds(g, config.master_seed)
     seeds = _node_ids(given, g.n, "seed node")
     if not seeds:
         raise ValueError("seed set must not be empty")
     if k > g.n - len(seeds):
         raise ValueError(f"budget {k} exceeds the {g.n - len(seeds)} non-seed nodes")
     # Recorded as given: config_sha256 hashes the seeds in this order.
-    resolved = replace(config, seeds=tuple(given))
+    resolved = replace(config, seeds=given)
 
     rates = build_rates(g, config.beta_range, config.delta_range,
-                        rate_seed_for(run.master_seed))
+                        rate_seed_for(config.master_seed))
 
     immunized_sets = [
         immunization_set(compute_ranking(strategy, g, power=config.power, rates=rates,
                                          protocol=calibration).order, k, seeds)
         for strategy in config.strategies
     ]
-    finals, totals = simulate_sis_paired(g, rates, seeds, immunized_sets, run.steps,
-                                         run.trials, run.master_seed)
-    raw_rows = list(zip(config.strategies, immunized_sets, finals, totals / run.trials))
+    finals, totals = simulate_sis_paired(g, rates, seeds, immunized_sets, config.steps,
+                                         config.trials, config.master_seed)
+    raw_rows = list(zip(config.strategies, immunized_sets, finals, totals / config.trials))
 
     raw_rows.sort(key=lambda r: (float(np.mean(r[2])), r[0].value))
     rows = []

@@ -35,7 +35,7 @@ from typing import IO
 
 import numpy as np
 
-from .graph import Graph, _is_index, _json_obj
+from .graph import Graph, _is_int, _json_obj
 # Imported by name, so that patching oracle._residuals counts only the oracle's solves.
 from .spectral import (DEFAULT_POWER, _check_budget, _check_power, _residuals, av11_select,
                        separation_lower_bound, spectrum)
@@ -199,7 +199,7 @@ def _start_row(start: Iterable[int], n: int, k: int) -> np.ndarray:
     """``start`` as a sorted (1, k) index row; ValueError unless k distinct ids in [0, n)."""
     ids = tuple(start)
     if (len(ids) != k or len(set(ids)) != k
-            or not all(_is_index(i) and 0 <= i < n for i in ids)):
+            or not all(_is_int(i) and 0 <= i < n for i in ids)):
         raise ValueError(f"start must be {k} distinct node ids in [0, {n}), got {ids!r}")
     return np.array(sorted(ids), dtype=np.intp).reshape(1, k)
 

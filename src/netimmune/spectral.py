@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, Ranking, Strategy, _is_index, _node_ids
+from .graph import Graph, Ranking, Strategy, _is_int, _node_ids
 
 # Even power of the trace surrogate. Larger p tracks lambda_1 more tightly
 # (the l_p norm of the shifted spectrum falls toward its max entry); 64 keeps
@@ -112,13 +112,13 @@ def _residuals(a: np.ndarray, subsets: np.ndarray) -> np.ndarray:
 
 
 def _check_budget(k, n: int) -> int:
-    if not (_is_index(k) and 0 <= k <= n):
+    if not (_is_int(k) and 0 <= k <= n):
         raise ValueError(f"budget must be an integer in [0, {n}], got {k!r}")
     return int(k)
 
 
 def _check_power(p) -> int:
-    if not (_is_index(p) and p > 0 and p % 2 == 0):
+    if not (_is_int(p) and p > 0 and p % 2 == 0):
         raise ValueError(f"power must be a positive even integer, got {p!r}")
     return int(p)
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from itertools import combinations
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from netimmune import (
     BudgetSpec,
     ExperimentConfig,
+    GraphFormat,
     Strategy,
     build_rates,
     cli,
@@ -33,6 +35,7 @@ from netimmune.harness import (
     rate_seed_for,
     resolve_graph,
     run_compare,
+    table_json_obj,
     write_table_csv,
 )
 
@@ -336,6 +339,33 @@ class TestCompareCommand:
         with pytest.raises(ValueError, match=message.split(": ", 1)[1]):
             run_compare(ExperimentConfig(graph="ieee118", budget=BudgetSpec.from_count(3),
                                          **{key: value}))
+        # ... by its construction, with the message a config file gets.
+        with pytest.raises(ValueError) as built:
+            ExperimentConfig(graph="ieee118", budget=BudgetSpec.from_count(3), **{key: value})
+        assert str(built.value) == f"experiment config {message}"
+
+    @pytest.mark.parametrize("given", [
+        {"strategies": ("degree", "av11")},
+        {"budget": "1"},
+        {"steps": np.int64(3), "trials": np.int32(2), "master_seed": np.int64(7),
+         "calibration_trials": np.int64(2)},
+        {"seeds": (np.int64(0),)},
+        {"beta_range": (np.int64(0), np.float64(0.4)), "delta_range": [np.float32(0.5), 1]},
+    ], ids=["strategy-names", "budget-text", "numpy-counts", "numpy-seeds", "numpy-ranges"])
+    def test_python_config_writes_its_table(self, p3_file, given):
+        """A config built in Python holds what its JSON form reads back to, so its
+        table is written under that form's digest."""
+        plain = {"graph": p3_file, "budget": BudgetSpec.from_count(1), "seeds": (0,),
+                 "strategies": (Strategy.DEGREE,), "steps": 3, "trials": 2,
+                 "calibration_trials": 2}
+        config = ExperimentConfig(**{**plain, **given})
+        from_file = ExperimentConfig.from_json_obj(json.loads(json.dumps(config.to_json_obj())))
+        assert from_file == config
+        table = run_compare(config)
+        buf = io.StringIO()
+        write_table_csv(table, buf)
+        assert f"# config_sha256 {from_file.config_sha256()}\n" in buf.getvalue()
+        assert json.loads(json.dumps(table_json_obj(table)))["config"] == config.to_json_obj()
 
     def test_replay_byte_identical_csv(self, tmp_path):
         import networkx as nx
@@ -406,17 +436,24 @@ class TestCompareCommand:
         ("steps", 1.5), ("trials", True), ("master_seed", "7"), ("power", 4.0),
         ("calibration_trials", "4"), ("graph", 7), ("graph_format", 1),
         ("output_csv", 7), ("output_json", ["t.json"]), ("budget", {"count": 1.5}),
-        ("budget", {"fraction": "0.5"}),
+        ("budget", {"fraction": "0.5"}), ("graph_format", "xml"),
     ], ids=["seeds-text", "seeds-float", "range-short", "relabel-text", "steps-float",
             "trials-bool", "master-seed-text", "power-float", "calibration-text",
             "graph-int", "format-int", "output-csv-int", "output-json-list",
-            "count-float", "fraction-text"])
+            "count-float", "fraction-text", "format-unknown"])
     def test_ill_typed_config_value_exits_3(self, p3_file, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"graph": p3_file, "budget": "1", "steps": 3, "trials": 2,
                                    key: value}))
         assert main(["compare", "--config", str(cfg)]) == 3
         assert f"{key!r}" in capsys.readouterr().err
+        # The same value given in Python is rejected with the same message.
+        obj = {"graph": p3_file, "budget": "1", key: value}
+        with pytest.raises(ValueError) as from_file:
+            ExperimentConfig.from_json_obj(obj)
+        with pytest.raises(ValueError) as from_python:
+            ExperimentConfig(**obj)
+        assert str(from_python.value) == str(from_file.value)
 
     @pytest.mark.parametrize("value, message", [
         ([], "nonempty list"), ("degree", "nonempty list"), (["degree", "av11", "degree"],
@@ -507,6 +544,68 @@ class TestHarnessPieces:
         assert ExperimentConfig.from_json_obj(
             json.loads(json.dumps(everything.to_json_obj()))) == everything
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_python_and_json_forms_give_one_record(self, data):
+        """Every field: the JSON form (lists, names, budget text or objects) and the
+        Python form (tuples, Strategy and GraphFormat members, a BudgetSpec, numpy
+        numbers) of one config give equal records with equal digests, and the record
+        holds only Python values."""
+        draw = data.draw
+
+        def np_int(k):
+            return draw(st.sampled_from([int, np.int64, np.int32]))(k)
+
+        def np_number(x):
+            if isinstance(x, int):
+                return np_int(x)
+            return draw(st.sampled_from([float, np.float64]))(x)
+
+        js, py = {}, {}
+        js["graph"] = py["graph"] = draw(st.text(max_size=6))
+        fmt = draw(st.none() | st.sampled_from(list(GraphFormat)))
+        js["graph_format"], py["graph_format"] = None if fmt is None else fmt.value, fmt
+        js["relabel"] = py["relabel"] = draw(st.booleans())
+        if draw(st.booleans()):
+            count = draw(st.integers(0, 500))
+            js["budget"] = draw(st.sampled_from([str(count), {"count": count}]))
+            py["budget"] = BudgetSpec(count=np_int(count))
+        else:
+            fraction = draw(st.floats(0, 1))
+            js["budget"] = draw(st.sampled_from([repr(fraction), {"fraction": fraction}]))
+            py["budget"] = BudgetSpec.from_fraction(np.float64(fraction))
+        seeds = draw(st.none() | st.lists(st.integers(0, 500), max_size=4))
+        js["seeds"] = seeds
+        py["seeds"] = None if seeds is None else tuple(map(np_int, seeds))
+        names = draw(st.lists(st.sampled_from(list(Strategy)), min_size=1, unique=True))
+        js["strategies"], py["strategies"] = [s.value for s in names], tuple(names)
+        for key in ("beta_range", "delta_range"):
+            pair = draw(st.lists(st.integers(0, 3) | st.floats(0, 1), min_size=2, max_size=2))
+            js[key], py[key] = pair, tuple(map(np_number, pair))
+        count, even = st.integers(1, 2**31 - 1), st.integers(1, 2**30 - 1).map(lambda h: 2 * h)
+        for key, values in (("steps", count), ("trials", count),
+                            ("master_seed", st.integers(0, 2**31 - 1)), ("power", even),
+                            ("calibration_trials", count)):
+            js[key] = draw(values)
+            py[key] = np_int(js[key])
+        for key in ("output_csv", "output_json"):
+            js[key] = py[key] = draw(st.none() | st.text(max_size=6))
+        assert list(js) == [f.name for f in fields(ExperimentConfig)]
+
+        from_json = ExperimentConfig.from_json_obj(json.loads(json.dumps(js)))
+        from_python = ExperimentConfig(**py)
+        assert from_python == from_json
+        assert from_python.config_sha256() == from_json.config_sha256()
+        obj = from_python.to_json_obj()
+        assert json.loads(json.dumps(obj)) == obj
+
+        def leaves(x):
+            if isinstance(x, dict):
+                x = list(x.values())
+            return [y for v in x for y in leaves(v)] if isinstance(x, list) else [x]
+
+        assert {type(x) for x in leaves(obj)} <= {int, float, str, bool, type(None)}
+
     def test_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown key\\(s\\) 'trails', 'seed'"):
             ExperimentConfig.from_json_obj({"graph": "ieee118", "budget": "5", "trails": 3,
@@ -530,6 +629,9 @@ class TestHarnessPieces:
     def test_config_rejects_odd_power(self, p3_file, monkeypatch, capsys):
         with pytest.raises(ValueError, match="power must be a positive even integer"):
             ExperimentConfig.from_json_obj({"graph": "ieee118", "budget": "5", "power": 3})
+        # Built in Python, the config is rejected before any graph is read.
+        with pytest.raises(ValueError, match="key 'power' rejects 3: power must be a positive"):
+            ExperimentConfig(graph="ieee118", budget=BudgetSpec.from_count(5), power=3)
 
         def run(config):
             raise AssertionError("the comparison ran")

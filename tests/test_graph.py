@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,6 +128,17 @@ class TestGraphInvariants:
             Graph(True, [])
         with pytest.raises(GraphFormatError):
             Graph(3, [(True, 2)])
+
+    def test_numpy_ids_stored_as_python_ints(self):
+        g = Graph(np.int64(3), [(np.int64(0), np.int32(1)), (2, np.uint8(1))])
+        assert g == Graph(3, [(0, 1), (1, 2)])
+        assert type(g.n) is int
+        assert all(type(i) is int for e in g.edges for i in e)
+        assert all(type(i) is int for i in g.neighbors(1))
+        with pytest.raises(GraphFormatError, match="node ids must be integers"):
+            Graph(3, [(np.float64(0), 1)])
+        with pytest.raises(GraphFormatError, match="node count"):
+            Graph(np.bool_(True), [])
 
     def test_adjacency_symmetric_zero_diagonal(self):
         for seed in range(5):
@@ -262,6 +274,12 @@ class TestBudgetSpec:
             BudgetSpec(count=1, fraction=0.5)
         with pytest.raises(ValueError, match="budget count must be a non-negative integer"):
             BudgetSpec(count=True)
+
+    def test_numpy_count_stored_as_python_int(self):
+        budget = BudgetSpec(count=np.int64(2))
+        assert budget == BudgetSpec.from_count(2)
+        assert type(budget.count) is int
+        assert json.dumps(budget.__dict__) == '{"count": 2, "fraction": null}'
 
     def test_parse(self):
         assert BudgetSpec.parse("19").count == 19
